@@ -1,208 +1,132 @@
-"""Hot numerical kernels: frame composition, tree Newton-Euler, kinetic energy.
+"""Hot numerical kernels: frame placement, tree Newton-Euler, kinetic energy.
 
-The functions here operate on packed float64/int64 arrays that model.py
-prepares once per model, so they can be compiled with numba. Set
-ORTHOGLIDE_JIT=0 in the environment to run them as plain Python instead
-(much slower, occasionally handy under a debugger).
+Plain Python, one scalar operation at a time. model.py packs each chain
+once into the two tables these functions read:
 
-Packing conventions shared with model.py:
+  frames:  a tuple of nine rows, one per frame in tree order (frames
+           1..9), each (parent, kind, cos gamma, sin gamma, cos alpha,
+           sin alpha, b, d, theta, r). parent is the row of the parent
+           frame, -1 for the world; kind is REVOLUTE, PRISMATIC or FIXED.
+           The 7-body dynamic tree is the first seven rows.
+  inertia: (7, 13) float64, one row per tree body: mass, first moment (3),
+           inertia tensor row major (9), all about the body frame.
 
-  mdh:     (n, 7) float64, one row per frame in tree order, columns
-           gamma, b, alpha, d, theta0, r0, sigma (sigma 1.0 prismatic else 0.0)
-  parents: (n,) int64, parent row index, -1 for the world
-  types:   (n,) int64 joint kind: 0 revolute, 1 prismatic, 2 fixed
-  inertia: (n, 13) float64 per body: mass, first moment (3), inertia tensor
-           row major (9), all about the body frame
-
-q, qd, qdd are per-frame vectors aligned with the rows; fixed frames carry
-zeros there.
+q, qd and qdd are per-frame joint values aligned with the rows (model.py's
+closure maps build them); fixed frames carry 0.0. A frame's placement in
+its parent is the 12-tuple from place: the rotation row major, then the
+origin.
 """
 
 import math
-import os
 
 import numpy as np
 
-_JIT = os.environ.get("ORTHOGLIDE_JIT", "1").strip().lower() not in ("0", "false", "no")
+_JIT = False  # the kernels are never compiled; environment stamps read this
 
-if _JIT:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        _JIT = False
-
-if not _JIT:  # pragma: no cover
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
+REVOLUTE, PRISMATIC, FIXED = 0, 1, 2
+_PLATFORM_ROW = 5  # frame 6, where the platform load acts
 
 
-@njit(cache=True)
-def chain_frames(mdh, parents, q, R, O):
-    """Compose all frames of one chain; writes rotations into R (n,3,3) and
-    origins into O (n,3), both expressed in the world frame."""
-    n = mdh.shape[0]
-    for j in range(n):
-        gamma = mdh[j, 0]
-        b = mdh[j, 1]
-        alpha = mdh[j, 2]
-        d = mdh[j, 3]
-        theta = mdh[j, 4]
-        r = mdh[j, 5]
-        if mdh[j, 6] == 1.0:
-            r = r + q[j]
-        else:
-            theta = theta + q[j]
-        cg = math.cos(gamma)
-        sg = math.sin(gamma)
-        ca = math.cos(alpha)
-        sa = math.sin(alpha)
-        ct = math.cos(theta)
-        st = math.sin(theta)
-        r00 = cg * ct - sg * ca * st
-        r01 = -cg * st - sg * ca * ct
-        r02 = sg * sa
-        r10 = sg * ct + cg * ca * st
-        r11 = -sg * st + cg * ca * ct
-        r12 = -cg * sa
-        r20 = sa * st
-        r21 = sa * ct
-        r22 = ca
-        px = d * cg + r * sg * sa
-        py = d * sg - r * cg * sa
-        pz = b + r * ca
-        p = parents[j]
+def place(row, qj):
+    """Placement of one frame in its parent at joint value qj.
+
+    Returns a 12-tuple: the rotation row major, then the origin. A fixed
+    frame ignores qj.
+    """
+    _, kind, cg, sg, ca, sa, b, d, theta, r = row
+    if kind == PRISMATIC:
+        r = r + qj
+    elif kind == REVOLUTE:
+        theta = theta + qj
+    ct = math.cos(theta)
+    st = math.sin(theta)
+    sgca = sg * ca
+    cgca = cg * ca
+    return (
+        cg * ct - sgca * st, -cg * st - sgca * ct, sg * sa,
+        sg * ct + cgca * st, -sg * st + cgca * ct, -cg * sa,
+        sa * st, sa * ct, ca,
+        d * cg + r * sg * sa, d * sg - r * cg * sa, b + r * ca,
+    )
+
+
+def _rot_mul(A, B):
+    """A @ B for row-major rotations; B may carry an origin after its rotation."""
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = A
+    b00, b01, b02, b10, b11, b12, b20, b21, b22 = B[:9]
+    return (
+        a00 * b00 + a01 * b10 + a02 * b20,
+        a00 * b01 + a01 * b11 + a02 * b21,
+        a00 * b02 + a01 * b12 + a02 * b22,
+        a10 * b00 + a11 * b10 + a12 * b20,
+        a10 * b01 + a11 * b11 + a12 * b21,
+        a10 * b02 + a11 * b12 + a12 * b22,
+        a20 * b00 + a21 * b10 + a22 * b20,
+        a20 * b01 + a21 * b11 + a22 * b21,
+        a20 * b02 + a21 * b12 + a22 * b22,
+    )
+
+
+def chain_frames(frames, q):
+    """World rotations and origins of the first len(q) frames, as two lists."""
+    R = []
+    O = []
+    for row, qj in zip(frames, q):
+        L = place(row, qj)
+        p = row[0]
         if p < 0:
-            R[j, 0, 0] = r00
-            R[j, 0, 1] = r01
-            R[j, 0, 2] = r02
-            R[j, 1, 0] = r10
-            R[j, 1, 1] = r11
-            R[j, 1, 2] = r12
-            R[j, 2, 0] = r20
-            R[j, 2, 1] = r21
-            R[j, 2, 2] = r22
-            O[j, 0] = px
-            O[j, 1] = py
-            O[j, 2] = pz
+            R.append(L[:9])
+            O.append(L[9:])
         else:
-            for k in range(3):
-                rp0 = R[p, k, 0]
-                rp1 = R[p, k, 1]
-                rp2 = R[p, k, 2]
-                R[j, k, 0] = rp0 * r00 + rp1 * r10 + rp2 * r20
-                R[j, k, 1] = rp0 * r01 + rp1 * r11 + rp2 * r21
-                R[j, k, 2] = rp0 * r02 + rp1 * r12 + rp2 * r22
-                O[j, k] = O[p, k] + rp0 * px + rp1 * py + rp2 * pz
+            Rp = R[p]
+            ox, oy, oz = O[p]
+            px, py, pz = L[9:]
+            R.append(_rot_mul(Rp, L))
+            O.append((
+                ox + Rp[0] * px + Rp[1] * py + Rp[2] * pz,
+                oy + Rp[3] * px + Rp[4] * py + Rp[5] * pz,
+                oz + Rp[6] * px + Rp[7] * py + Rp[8] * pz,
+            ))
+    return R, O
 
 
-@njit(cache=True)
-def tree_newton_euler(mdh, parents, types, inertia, q, qd, qdd, g, fext, gam):
-    """Recursive Newton-Euler sweep over one chain tree (7 frames).
+def tree_newton_euler(frames, inertia, q, qd, qdd, g, fext):
+    """Recursive Newton-Euler sweep over one chain tree (one row per body).
 
     Gravity is folded into the base acceleration (a_root = -g). fext is the
     force the chain applies to the platform, expressed in the world frame;
-    its reaction acts at the origin of frame 6 (row 5). Writes the actuated
-    joint efforts into gam, ordered frame 1..5 then frame 7.
+    its reaction acts at the origin of frame 6. Returns the efforts of the
+    jointed frames in row order: frames 1..5, then frame 7.
     """
-    n = mdh.shape[0]
+    n = len(inertia)
+    Rl = [None] * n
+    R0 = np.zeros((n, 9))
     w = np.zeros((n, 3))
     wd = np.zeros((n, 3))
     v = np.zeros((n, 3))
     a = np.zeros((n, 3))
-    Rl = np.zeros((n, 3, 3))
-    pl = np.zeros((n, 3))
-    R0 = np.zeros((n, 3, 3))
-    f = np.zeros((n, 3))
-    nn = np.zeros((n, 3))
 
     for j in range(n):
-        gamma = mdh[j, 0]
-        b = mdh[j, 1]
-        alpha = mdh[j, 2]
-        d = mdh[j, 3]
-        theta = mdh[j, 4]
-        r = mdh[j, 5]
-        tj = types[j]
-        if tj == 1:
-            r = r + q[j]
-        elif tj == 0:
-            theta = theta + q[j]
-        cg = math.cos(gamma)
-        sg = math.sin(gamma)
-        ca = math.cos(alpha)
-        sa = math.sin(alpha)
-        ct = math.cos(theta)
-        st = math.sin(theta)
-        r00 = cg * ct - sg * ca * st
-        r01 = -cg * st - sg * ca * ct
-        r02 = sg * sa
-        r10 = sg * ct + cg * ca * st
-        r11 = -sg * st + cg * ca * ct
-        r12 = -cg * sa
-        r20 = sa * st
-        r21 = sa * ct
-        r22 = ca
-        px = d * cg + r * sg * sa
-        py = d * sg - r * cg * sa
-        pz = b + r * ca
-        Rl[j, 0, 0] = r00
-        Rl[j, 0, 1] = r01
-        Rl[j, 0, 2] = r02
-        Rl[j, 1, 0] = r10
-        Rl[j, 1, 1] = r11
-        Rl[j, 1, 2] = r12
-        Rl[j, 2, 0] = r20
-        Rl[j, 2, 1] = r21
-        Rl[j, 2, 2] = r22
-        pl[j, 0] = px
-        pl[j, 1] = py
-        pl[j, 2] = pz
-
-        p = parents[j]
+        row = frames[j]
+        p = row[0]
+        kind = row[1]
+        L = place(row, q[j])
+        r00, r01, r02, r10, r11, r12, r20, r21, r22, px, py, pz = L
+        Rl[j] = L
         if p < 0:
-            wix = 0.0
-            wiy = 0.0
-            wiz = 0.0
-            wdix = 0.0
-            wdiy = 0.0
-            wdiz = 0.0
-            vix = 0.0
-            viy = 0.0
-            viz = 0.0
+            wix = wiy = wiz = 0.0
+            wdix = wdiy = wdiz = 0.0
+            vix = viy = viz = 0.0
             aix = -g[0]
             aiy = -g[1]
             aiz = -g[2]
-            for k in range(3):
-                R0[j, k, 0] = Rl[j, k, 0]
-                R0[j, k, 1] = Rl[j, k, 1]
-                R0[j, k, 2] = Rl[j, k, 2]
+            R0[j] = L[:9]
         else:
-            wix = w[p, 0]
-            wiy = w[p, 1]
-            wiz = w[p, 2]
-            wdix = wd[p, 0]
-            wdiy = wd[p, 1]
-            wdiz = wd[p, 2]
-            vix = v[p, 0]
-            viy = v[p, 1]
-            viz = v[p, 2]
-            aix = a[p, 0]
-            aiy = a[p, 1]
-            aiz = a[p, 2]
-            for k in range(3):
-                rp0 = R0[p, k, 0]
-                rp1 = R0[p, k, 1]
-                rp2 = R0[p, k, 2]
-                R0[j, k, 0] = rp0 * r00 + rp1 * r10 + rp2 * r20
-                R0[j, k, 1] = rp0 * r01 + rp1 * r11 + rp2 * r21
-                R0[j, k, 2] = rp0 * r02 + rp1 * r12 + rp2 * r22
+            wix, wiy, wiz = w[p]
+            wdix, wdiy, wdiz = wd[p]
+            vix, viy, viz = v[p]
+            aix, aiy, aiz = a[p]
+            R0[j] = _rot_mul(R0[p], L)
 
         # parent-frame intermediates
         # c = wi x pl
@@ -238,14 +162,14 @@ def tree_newton_euler(mdh, parents, types, inertia, q, qd, qdd, g, fext, gam):
         ajy = r01 * sax + r11 * say + r21 * saz
         ajz = r02 * sax + r12 * say + r22 * saz
 
-        if tj == 0:
+        if kind == REVOLUTE:
             # revolute about local z
             qdj = qd[j]
             wdjx += wjy * qdj
             wdjy += -wjx * qdj
             wdjz += qdd[j]
             wjz += qdj
-        elif tj == 1:
+        elif kind == PRISMATIC:
             # prismatic along local z
             qdj = qd[j]
             ajx += 2.0 * wjy * qdj
@@ -253,42 +177,18 @@ def tree_newton_euler(mdh, parents, types, inertia, q, qd, qdd, g, fext, gam):
             ajz += qdd[j]
             vjz += qdj
 
-        w[j, 0] = wjx
-        w[j, 1] = wjy
-        w[j, 2] = wjz
-        wd[j, 0] = wdjx
-        wd[j, 1] = wdjy
-        wd[j, 2] = wdjz
-        v[j, 0] = vjx
-        v[j, 1] = vjy
-        v[j, 2] = vjz
-        a[j, 0] = ajx
-        a[j, 1] = ajy
-        a[j, 2] = ajz
+        w[j] = (wjx, wjy, wjz)
+        wd[j] = (wdjx, wdjy, wdjz)
+        v[j] = (vjx, vjy, vjz)
+        a[j] = (ajx, ajy, ajz)
 
+    f = np.zeros((n, 3))
+    nn = np.zeros((n, 3))
     for j in range(n - 1, -1, -1):
-        M = inertia[j, 0]
-        msx = inertia[j, 1]
-        msy = inertia[j, 2]
-        msz = inertia[j, 3]
-        J00 = inertia[j, 4]
-        J01 = inertia[j, 5]
-        J02 = inertia[j, 6]
-        J10 = inertia[j, 7]
-        J11 = inertia[j, 8]
-        J12 = inertia[j, 9]
-        J20 = inertia[j, 10]
-        J21 = inertia[j, 11]
-        J22 = inertia[j, 12]
-        wx = w[j, 0]
-        wy = w[j, 1]
-        wz = w[j, 2]
-        wdx = wd[j, 0]
-        wdy = wd[j, 1]
-        wdz = wd[j, 2]
-        ax = a[j, 0]
-        ay = a[j, 1]
-        az = a[j, 2]
+        M, msx, msy, msz, J00, J01, J02, J10, J11, J12, J20, J21, J22 = inertia[j]
+        wx, wy, wz = w[j]
+        wdx, wdy, wdz = wd[j]
+        ax, ay, az = a[j]
 
         # F = M a + wd x ms + w x (w x ms)
         t1x = wdy * msz - wdz * msy
@@ -315,97 +215,72 @@ def tree_newton_euler(mdh, parents, types, inertia, q, qd, qdd, g, fext, gam):
         Ny = Jwdy + wz * Jwx - wx * Jwz + msz * ax - msx * az
         Nz = Jwdz + wx * Jwy - wy * Jwx + msx * ay - msy * ax
 
-        f[j, 0] += Fx
-        f[j, 1] += Fy
-        f[j, 2] += Fz
-        nn[j, 0] += Nx
-        nn[j, 1] += Ny
-        nn[j, 2] += Nz
+        fj = f[j]
+        nj = nn[j]
+        fj[0] += Fx
+        fj[1] += Fy
+        fj[2] += Fz
+        nj[0] += Nx
+        nj[1] += Ny
+        nj[2] += Nz
 
-        if j == 5:
+        if j == _PLATFORM_ROW:
             # reaction of the platform force, applied at the frame-6 origin
-            f[j, 0] += R0[j, 0, 0] * fext[0] + R0[j, 1, 0] * fext[1] + R0[j, 2, 0] * fext[2]
-            f[j, 1] += R0[j, 0, 1] * fext[0] + R0[j, 1, 1] * fext[1] + R0[j, 2, 1] * fext[2]
-            f[j, 2] += R0[j, 0, 2] * fext[0] + R0[j, 1, 2] * fext[1] + R0[j, 2, 2] * fext[2]
+            R = R0[j]
+            fj[0] += R[0] * fext[0] + R[3] * fext[1] + R[6] * fext[2]
+            fj[1] += R[1] * fext[0] + R[4] * fext[1] + R[7] * fext[2]
+            fj[2] += R[2] * fext[0] + R[5] * fext[1] + R[8] * fext[2]
 
-        p = parents[j]
+        p = frames[j][0]
         if p >= 0:
-            ffx = Rl[j, 0, 0] * f[j, 0] + Rl[j, 0, 1] * f[j, 1] + Rl[j, 0, 2] * f[j, 2]
-            ffy = Rl[j, 1, 0] * f[j, 0] + Rl[j, 1, 1] * f[j, 1] + Rl[j, 1, 2] * f[j, 2]
-            ffz = Rl[j, 2, 0] * f[j, 0] + Rl[j, 2, 1] * f[j, 1] + Rl[j, 2, 2] * f[j, 2]
-            nnx = Rl[j, 0, 0] * nn[j, 0] + Rl[j, 0, 1] * nn[j, 1] + Rl[j, 0, 2] * nn[j, 2]
-            nny = Rl[j, 1, 0] * nn[j, 0] + Rl[j, 1, 1] * nn[j, 1] + Rl[j, 1, 2] * nn[j, 2]
-            nnz = Rl[j, 2, 0] * nn[j, 0] + Rl[j, 2, 1] * nn[j, 1] + Rl[j, 2, 2] * nn[j, 2]
-            f[p, 0] += ffx
-            f[p, 1] += ffy
-            f[p, 2] += ffz
-            nn[p, 0] += nnx + pl[j, 1] * ffz - pl[j, 2] * ffy
-            nn[p, 1] += nny + pl[j, 2] * ffx - pl[j, 0] * ffz
-            nn[p, 2] += nnz + pl[j, 0] * ffy - pl[j, 1] * ffx
+            L = Rl[j]
+            fx, fy, fz = fj
+            nx, ny, nz = nj
+            ffx = L[0] * fx + L[1] * fy + L[2] * fz
+            ffy = L[3] * fx + L[4] * fy + L[5] * fz
+            ffz = L[6] * fx + L[7] * fy + L[8] * fz
+            nnx = L[0] * nx + L[1] * ny + L[2] * nz
+            nny = L[3] * nx + L[4] * ny + L[5] * nz
+            nnz = L[6] * nx + L[7] * ny + L[8] * nz
+            fpar = f[p]
+            npar = nn[p]
+            fpar[0] += ffx
+            fpar[1] += ffy
+            fpar[2] += ffz
+            npar[0] += nnx + L[10] * ffz - L[11] * ffy
+            npar[1] += nny + L[11] * ffx - L[9] * ffz
+            npar[2] += nnz + L[9] * ffy - L[10] * ffx
 
-        tj = types[j]
-        if tj == 2:
-            continue
-        slot = j if j < 5 else 5
-        if tj == 0:
-            gam[slot] = nn[j, 2]
-        else:
-            gam[slot] = f[j, 2]
+    gam = []
+    for j in range(n):
+        kind = frames[j][1]
+        if kind == REVOLUTE:
+            gam.append(nn[j][2])
+        elif kind == PRISMATIC:
+            gam.append(f[j][2])
+    return gam
 
 
-@njit(cache=True)
-def chain_kinetic(mdh, parents, types, inertia, q, qd):
+def chain_kinetic(frames, inertia, q, qd):
     """Kinetic energy of one chain tree via the velocity recursion."""
-    n = mdh.shape[0]
+    n = len(inertia)
     w = np.zeros((n, 3))
     v = np.zeros((n, 3))
     T = 0.0
     for j in range(n):
-        gamma = mdh[j, 0]
-        b = mdh[j, 1]
-        alpha = mdh[j, 2]
-        d = mdh[j, 3]
-        theta = mdh[j, 4]
-        r = mdh[j, 5]
-        tj = types[j]
-        if tj == 1:
-            r = r + q[j]
-        elif tj == 0:
-            theta = theta + q[j]
-        cg = math.cos(gamma)
-        sg = math.sin(gamma)
-        ca = math.cos(alpha)
-        sa = math.sin(alpha)
-        ct = math.cos(theta)
-        st = math.sin(theta)
-        r00 = cg * ct - sg * ca * st
-        r01 = -cg * st - sg * ca * ct
-        r02 = sg * sa
-        r10 = sg * ct + cg * ca * st
-        r11 = -sg * st + cg * ca * ct
-        r12 = -cg * sa
-        r20 = sa * st
-        r21 = sa * ct
-        r22 = ca
-        px = d * cg + r * sg * sa
-        py = d * sg - r * cg * sa
-        pz = b + r * ca
-
-        p = parents[j]
+        row = frames[j]
+        p = row[0]
+        kind = row[1]
+        r00, r01, r02, r10, r11, r12, r20, r21, r22, px, py, pz = place(row, q[j])
         if p < 0:
-            wix = 0.0
-            wiy = 0.0
-            wiz = 0.0
-            svx = 0.0
-            svy = 0.0
-            svz = 0.0
+            wix = wiy = wiz = 0.0
+            svx = svy = svz = 0.0
         else:
-            wix = w[p, 0]
-            wiy = w[p, 1]
-            wiz = w[p, 2]
-            svx = v[p, 0] + wiy * pz - wiz * py
-            svy = v[p, 1] + wiz * px - wix * pz
-            svz = v[p, 2] + wix * py - wiy * px
+            wix, wiy, wiz = w[p]
+            vpx, vpy, vpz = v[p]
+            svx = vpx + wiy * pz - wiz * py
+            svy = vpy + wiz * px - wix * pz
+            svz = vpz + wix * py - wiy * px
 
         wjx = r00 * wix + r10 * wiy + r20 * wiz
         wjy = r01 * wix + r11 * wiy + r21 * wiz
@@ -413,30 +288,14 @@ def chain_kinetic(mdh, parents, types, inertia, q, qd):
         vjx = r00 * svx + r10 * svy + r20 * svz
         vjy = r01 * svx + r11 * svy + r21 * svz
         vjz = r02 * svx + r12 * svy + r22 * svz
-        if tj == 0:
+        if kind == REVOLUTE:
             wjz += qd[j]
-        elif tj == 1:
+        elif kind == PRISMATIC:
             vjz += qd[j]
-        w[j, 0] = wjx
-        w[j, 1] = wjy
-        w[j, 2] = wjz
-        v[j, 0] = vjx
-        v[j, 1] = vjy
-        v[j, 2] = vjz
+        w[j] = (wjx, wjy, wjz)
+        v[j] = (vjx, vjy, vjz)
 
-        M = inertia[j, 0]
-        msx = inertia[j, 1]
-        msy = inertia[j, 2]
-        msz = inertia[j, 3]
-        J00 = inertia[j, 4]
-        J01 = inertia[j, 5]
-        J02 = inertia[j, 6]
-        J10 = inertia[j, 7]
-        J11 = inertia[j, 8]
-        J12 = inertia[j, 9]
-        J20 = inertia[j, 10]
-        J21 = inertia[j, 11]
-        J22 = inertia[j, 12]
+        M, msx, msy, msz, J00, J01, J02, J10, J11, J12, J20, J21, J22 = inertia[j]
         Jwx = J00 * wjx + J01 * wjy + J02 * wjz
         Jwy = J10 * wjx + J11 * wjy + J12 * wjz
         Jwz = J20 * wjx + J21 * wjy + J22 * wjz
@@ -448,6 +307,3 @@ def chain_kinetic(mdh, parents, types, inertia, q, qd):
         T += 0.5 * (wjx * Jwx + wjy * Jwy + wjz * Jwz)
         T += msx * vwx + msy * vwy + msz * vwz
     return T
-
-
-JIT_ENABLED = _JIT

@@ -10,15 +10,13 @@ G below; no extra velocity terms appear.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from .errors import NumericalError
-
-_HALF_PI = math.pi / 2.0
+from .model import TREE_ROWS, closure_positions, closure_rates, tree_slots
 
 # Tree coordinate order: frames 1, 2, 3, 4, 5, 7.
 # qdot_tree = G @ (q1dot, q2dot, q3dot); G is constant.
@@ -38,20 +36,10 @@ G.flags.writeable = False
 G_T = np.ascontiguousarray(G.T)
 G_T.flags.writeable = False
 
-_ZERO3 = np.zeros(3)
-_ZERO3.flags.writeable = False
-
-# unit free-coordinate accelerations expanded to the 7 frame slots (the
-# three columns of G with the fixed frame-6 slot spliced in)
-_QDD7_UNIT = (
-    np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
-    np.array([0.0, 1.0, 0.0, 0.0, -1.0, 0.0, 0.0]),
-    np.array([0.0, 0.0, 1.0, -1.0, 0.0, 0.0, 1.0]),
-)
-for _u in _QDD7_UNIT:
-    _u.flags.writeable = False
-_ZERO7 = np.zeros(7)
-_ZERO7.flags.writeable = False
+_ZERO3 = (0.0, 0.0, 0.0)
+_REST = (0.0,) * 9
+# unit free-coordinate accelerations spread over the frames (columns of G)
+_UNIT_ACCELERATIONS = tuple(closure_rates(e) for e in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
 
 
 @dataclass(frozen=True)
@@ -75,53 +63,23 @@ def closure_expand(q, qd=None, qdd=None) -> TreeState:
     Positions pick up the constant -pi/2 offset on the wrist angle; rates
     and accelerations are the plain linear image under G.
     """
-    q = np.asarray(q, dtype=float).reshape(3)
-    qd = _ZERO3 if qd is None else np.asarray(qd, dtype=float).reshape(3)
-    qdd = _ZERO3 if qdd is None else np.asarray(qdd, dtype=float).reshape(3)
-    q_tree = np.array([q[0], q[1], q[2], -q[2], -q[1] - _HALF_PI, q[2]])
-    return TreeState(q=q_tree, qd=G @ qd, qdd=G @ qdd)
-
-
-def _tree_arrays(ts: TreeState):
-    q7 = np.zeros(7)
-    qd7 = np.zeros(7)
-    qdd7 = np.zeros(7)
-    q7[:5] = ts.q[:5]
-    q7[6] = ts.q[5]
-    qd7[:5] = ts.qd[:5]
-    qd7[6] = ts.qd[5]
-    qdd7[:5] = ts.qdd[:5]
-    qdd7[6] = ts.qdd[5]
-    return q7, qd7, qdd7
-
-
-def _expand_q7(q):
-    out = np.empty(7)
-    out[0] = q[0]
-    out[1] = q[1]
-    out[2] = q[2]
-    out[3] = -q[2]
-    out[4] = -q[1] - _HALF_PI
-    out[5] = 0.0
-    out[6] = q[2]
-    return out
-
-
-def _expand_rate7(qd):
-    out = np.empty(7)
-    out[0] = qd[0]
-    out[1] = qd[1]
-    out[2] = qd[2]
-    out[3] = -qd[2]
-    out[4] = -qd[1]
-    out[5] = 0.0
-    out[6] = qd[2]
-    return out
+    slots = closure_positions(q)
+    qd = np.zeros(3) if qd is None else np.asarray(qd, dtype=float).reshape(3)
+    qdd = np.zeros(3) if qdd is None else np.asarray(qdd, dtype=float).reshape(3)
+    return TreeState(q=[slots[r] for r in TREE_ROWS], qd=G @ qd, qdd=G @ qdd)
 
 
 def _reduce3(gam):
     # G_T @ gam written out
     return np.array([gam[0], gam[1] - gam[4], gam[2] - gam[3] + gam[5]])
+
+
+def _sweep(model, i, q, qd, qdd, gravity=None, f_ext=None):
+    """Tree efforts of chain i (frames 1..5, 7) for per-frame q, qd, qdd."""
+    pack = model._packs[i]
+    g = model.gravity if gravity is None else np.asarray(gravity, dtype=float).reshape(3)
+    fe = _ZERO3 if f_ext is None else np.asarray(f_ext, dtype=float).reshape(3)
+    return _kernels.tree_newton_euler(pack.frames, pack.inertia, q, qd, qdd, g, fe)
 
 
 def tree_newton_euler(model, i, ts: TreeState, gravity=None, f_ext=None):
@@ -130,32 +88,12 @@ def tree_newton_euler(model, i, ts: TreeState, gravity=None, f_ext=None):
     gravity defaults to the model field; f_ext is a world-frame force the
     chain applies to the platform (its reaction loads the attachment body).
     """
-    pack = model._packs[i]
-    g = model.gravity if gravity is None else np.asarray(gravity, dtype=float).reshape(3)
-    fe = _ZERO3 if f_ext is None else np.asarray(f_ext, dtype=float).reshape(3)
-    q7, qd7, qdd7 = _tree_arrays(ts)
-    gam = np.zeros(6)
-    _kernels.tree_newton_euler(
-        pack.mdh7, pack.parents7, pack.types7, pack.inertia7,
-        q7, qd7, qdd7, np.ascontiguousarray(g, dtype=float), np.ascontiguousarray(fe, dtype=float), gam,
-    )
-    return gam
-
-
-def _sweep(model, i, q7, qd7, qdd7, gravity, f_ext):
-    pack = model._packs[i]
-    g = model.gravity if gravity is None else np.ascontiguousarray(gravity, dtype=float)
-    fe = _ZERO3 if f_ext is None else np.ascontiguousarray(f_ext, dtype=float)
-    gam = np.zeros(6)
-    _kernels.tree_newton_euler(
-        pack.mdh7, pack.parents7, pack.types7, pack.inertia7, q7, qd7, qdd7, g, fe, gam
-    )
-    return gam
+    return np.array(_sweep(model, i, tree_slots(ts.q), tree_slots(ts.qd), tree_slots(ts.qdd), gravity, f_ext))
 
 
 def chain_torques_H(model, i, q, qd, qdd, gravity=None, f_ext=None):
     """Efforts at the three free joints of chain i (inverse dynamics)."""
-    gam = _sweep(model, i, _expand_q7(q), _expand_rate7(qd), _expand_rate7(qdd), gravity, f_ext)
+    gam = _sweep(model, i, closure_positions(q), closure_rates(qd), closure_rates(qdd), gravity, f_ext)
     return _reduce3(gam)
 
 
@@ -167,10 +105,10 @@ def chain_inertia_A(model, i, q):
     transpose to 1e-8 relative or a NumericalError is raised; the returned
     matrix is the symmetrized version.
     """
-    q7 = _expand_q7(q)
+    q9 = closure_positions(q)
     A = np.empty((3, 3))
     for k in range(3):
-        A[:, k] = _reduce3(_sweep(model, i, q7, _ZERO7, _QDD7_UNIT[k], _ZERO3, None))
+        A[:, k] = _reduce3(_sweep(model, i, q9, _REST, _UNIT_ACCELERATIONS[k], _ZERO3))
     defect = float(np.abs(A - A.T).max())
     scale = max(1.0, float(np.abs(A).max()))
     if defect > 1e-8 * scale:
@@ -182,18 +120,14 @@ def chain_inertia_A(model, i, q):
 
 def chain_bias_h(model, i, q, qd, gravity=None):
     """Velocity and gravity torques of chain i (zero-acceleration efforts)."""
-    gam = _sweep(model, i, _expand_q7(q), _expand_rate7(qd), _ZERO7, gravity, None)
+    gam = _sweep(model, i, closure_positions(q), closure_rates(qd), _REST, gravity)
     return _reduce3(gam)
 
 
 def chain_kinetic_energy(model, i, q, qd) -> float:
     """Kinetic energy of chain i at free-coordinate state (q, qd)."""
     pack = model._packs[i]
-    return float(
-        _kernels.chain_kinetic(
-            pack.mdh7, pack.parents7, pack.types7, pack.inertia7, _expand_q7(q), _expand_rate7(qd)
-        )
-    )
+    return float(_kernels.chain_kinetic(pack.frames, pack.inertia, closure_positions(q), closure_rates(qd)))
 
 
 def chain_reaction_force(model, i, q, qd, qdd, gamma_1) -> np.ndarray:

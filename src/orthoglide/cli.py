@@ -2,8 +2,8 @@
 
 Subcommands: ik, idm, ddm, simulate, verify. Every subcommand takes
 --model, either the literal word "default" or a path to a config file.
-Exit codes: 0 on success, 1 on a domain error (reported on stderr as
-ERROR:<kind>: message), 2 on a usage error.
+Exit codes: 0 on success, 1 on a domain or file error (reported on stderr
+as ERROR:<kind>: message), 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -14,16 +14,16 @@ import sys
 
 import numpy as np
 
-from .errors import OrthoglideError, ValidationError
-from .kinematics import igm, ik_velocity
+from .errors import OrthoglideError, ParseError, ValidationError
+from .kinematics import igm
 from .model import default_model, load_model
 from .robot_dynamics import direct_dynamics, inverse_dynamics
 from .simulate import (
     SimConfig,
+    format_trajectory_csv,
+    format_trajectory_json,
     simulate,
     torque_from_table,
-    write_trajectory_csv,
-    write_trajectory_json,
 )
 from .verify import format_report_table, run_verification
 
@@ -97,7 +97,10 @@ def _read_torque_file(path):
         raise ValidationError("torque file must start with header t,G1,G2,G3")
     rows = []
     for ln in lines[1:]:
-        vals = [float(x) for x in ln.split(",")]
+        try:
+            vals = [float(x) for x in ln.split(",")]
+        except ValueError:
+            raise ParseError("torque file: non-numeric cell in '%s'" % ln) from None
         if len(vals) != 4:
             raise ValidationError("torque file rows need 4 columns")
         rows.append(vals)
@@ -119,22 +122,8 @@ def _cmd_simulate(args):
     cfg = SimConfig(dt=args.dt, t_end=args.t_end, integrator=args.integrator,
                     record_every=args.record_every)
     res = simulate(model, args.point, args.vel, torque_fn, cfg)
-    if args.out:
-        if args.format == "json":
-            write_trajectory_json(res.samples, args.out)
-        else:
-            write_trajectory_csv(res.samples, args.out)
-    else:
-        import tempfile
-
-        # reuse the file writers so stdout matches file output byte for byte
-        with tempfile.NamedTemporaryFile("r+", suffix=".tmp", delete=True) as tmp:
-            if args.format == "json":
-                write_trajectory_json(res.samples, tmp.name)
-            else:
-                write_trajectory_csv(res.samples, tmp.name)
-            tmp.seek(0)
-            sys.stdout.write(tmp.read())
+    fmt = format_trajectory_json if args.format == "json" else format_trajectory_csv
+    _emit(fmt(res.samples), args.out)
     if not res.completed:
         print("note: stopped early (%s), %d samples recorded" % (res.stop_reason, len(res.samples)),
               file=sys.stderr)
@@ -224,7 +213,7 @@ def main(argv=None) -> int:
         return code
     try:
         return args.func(args)
-    except OrthoglideError as exc:
+    except (OrthoglideError, OSError) as exc:
         print("ERROR:%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 1
 

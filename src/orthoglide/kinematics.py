@@ -14,6 +14,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ChainSingular, OutOfWorkspace
+from .model import closure_positions
 
 _HALF_PI = math.pi / 2.0
 _ASIN_EDGE = 1.0 - 1e-12
@@ -61,13 +62,8 @@ def chain_frames(model, i, q):
     q is (q1, q2, q3); the slaved angles follow the closure. Returns
     (R, O) with shapes (9, 3, 3) and (9, 3); row k belongs to frame k+1.
     """
-    q1, q2, q3 = (float(x) for x in q)
-    pack = model._packs[i]
-    qv = np.array([q1, q2, q3, -q3, -q2 - _HALF_PI, 0.0, q3, -q3, 0.0])
-    R = np.empty((9, 3, 3))
-    O = np.empty((9, 3))
-    _kernels.chain_frames(pack.mdh9, pack.parents9, qv, R, O)
-    return R, O
+    R, O = _kernels.chain_frames(model._packs[i].frames, closure_positions(q))
+    return np.reshape(R, (9, 3, 3)), np.array(O)
 
 
 def chain_forward_point(model, i, q):

@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from .errors import ParseError, ValidationError
 
 _HALF_PI = math.pi / 2.0
@@ -52,19 +53,30 @@ _HALF_PI = math.pi / 2.0
 # Tree wiring shared by all three chains. Frames are numbered 1..9; parents
 # use 0 for the world. Frames 6 and 9 carry no joint.
 FRAME_PARENTS = (0, 1, 2, 3, 4, 5, 2, 7, 5)
-FRAME_KINDS = (
-    "prismatic",
-    "revolute",
-    "revolute",
-    "revolute",
-    "revolute",
-    "fixed",
-    "revolute",
-    "revolute",
-    "fixed",
-)
+# Rows (frame number - 1) of the six tree coordinates: frames 1-5 and 7.
+TREE_ROWS = (0, 1, 2, 3, 4, 6)
 
-_TYPE_CODE = {"revolute": 0, "prismatic": 1, "fixed": 2}
+_KIND_CODES = {"revolute": _kernels.REVOLUTE, "prismatic": _kernels.PRISMATIC, "fixed": _kernels.FIXED}
+
+
+def closure_positions(q):
+    """Joint values of frames 1..9 for free chain coordinates (q1, q2, q3)."""
+    q1, q2, q3 = map(float, q)
+    return (q1, q2, q3, -q3, -q2 - _HALF_PI, 0.0, q3, -q3, 0.0)
+
+
+def closure_rates(qd):
+    """Joint rates (or accelerations) of frames 1..9 for free-coordinate rates."""
+    qd1, qd2, qd3 = map(float, qd)
+    return (qd1, qd2, qd3, -qd3, -qd2, 0.0, qd3, -qd3, 0.0)
+
+
+def tree_slots(v6):
+    """Joint values of frames 1..7 for the six tree coordinates (frame 6: 0.0)."""
+    slots = [0.0] * 7
+    for r, x in zip(TREE_ROWS, v6):
+        slots[r] = float(x)
+    return slots
 
 
 @dataclass(frozen=True)
@@ -130,61 +142,37 @@ class ChainGeometry:
         )
 
 
-class _ChainPack:
-    """Packed float arrays for the kernels, derived from one ChainGeometry."""
-
-    __slots__ = (
-        "mdh9",
-        "parents9",
-        "types9",
-        "mdh7",
-        "parents7",
-        "types7",
-        "inertia7",
-        "R_base",
-        "anchor",
-        "axis",
-        "d4",
-        "d6",
+def _frame_row(params: MdhJointParams, parent: int) -> tuple:
+    """One row of the kernels' frame table (layout in _kernels)."""
+    return (
+        parent,
+        _KIND_CODES[params.kind],
+        math.cos(params.gamma),
+        math.sin(params.gamma),
+        math.cos(params.alpha),
+        math.sin(params.alpha),
+        float(params.b),
+        float(params.d),
+        float(params.theta),
+        float(params.r),
     )
+
+
+class _ChainPack:
+    """Kernel tables and base placement derived from one ChainGeometry."""
+
+    __slots__ = ("frames", "inertia", "R_base", "anchor", "axis", "d4", "d6")
 
     def __init__(self, chain: ChainGeometry):
         rows = (chain.base,) + chain.joints
-        mdh = np.zeros((9, 7))
-        types = np.zeros(9, dtype=np.int64)
-        for k, jp in enumerate(rows):
-            mdh[k, 0] = jp.gamma
-            mdh[k, 1] = jp.b
-            mdh[k, 2] = jp.alpha
-            mdh[k, 3] = jp.d
-            mdh[k, 4] = jp.theta
-            mdh[k, 5] = jp.r
-            mdh[k, 6] = 1.0 if jp.kind == "prismatic" else 0.0
-            types[k] = _TYPE_CODE[jp.kind]
-        parents = np.array([p - 1 for p in FRAME_PARENTS], dtype=np.int64)
-
-        inertia = np.zeros((7, 13))
-        for k, li in enumerate(chain.links):
-            inertia[k, 0] = li.mass
-            inertia[k, 1:4] = li.first_moment
-            inertia[k, 4:13] = li.inertia.reshape(9)
-
+        self.frames = tuple(_frame_row(jp, p - 1) for jp, p in zip(rows, FRAME_PARENTS))
+        self.inertia = np.array([(li.mass, *li.first_moment, *li.inertia.reshape(9)) for li in chain.links])
         T = frame_transform(chain.base, 0.0)
-        self.mdh9 = mdh
-        self.parents9 = parents
-        self.types9 = types
-        self.mdh7 = np.ascontiguousarray(mdh[:7])
-        self.parents7 = np.ascontiguousarray(parents[:7])
-        self.types7 = np.ascontiguousarray(types[:7])
-        self.inertia7 = inertia
-        self.R_base = np.ascontiguousarray(T[:3, :3])
-        self.anchor = np.ascontiguousarray(T[:3, 3])
-        self.axis = np.ascontiguousarray(T[:3, 2])
+        self.R_base = T[:3, :3].copy()
+        self.anchor = T[:3, 3].copy()
+        self.axis = T[:3, 2].copy()
         self.d4 = chain.d4
         self.d6 = chain.d6
-        for name in ("mdh9", "parents9", "types9", "mdh7", "parents7", "types7",
-                     "inertia7", "R_base", "anchor", "axis"):
-            getattr(self, name).flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,7 +181,8 @@ class RobotModel:
 
     chains holds three ChainGeometry entries; gravity is the field vector in
     the world frame; platform_mass is the lumped platform mass (the platform
-    never rotates, so no platform inertia tensor is needed).
+    never rotates, so no platform inertia tensor is needed). A non-finite
+    value anywhere raises ValidationError at construction.
     """
 
     chains: tuple
@@ -207,6 +196,7 @@ class RobotModel:
         object.__setattr__(self, "gravity", g)
         object.__setattr__(self, "platform_mass", float(self.platform_mass))
         object.__setattr__(self, "chains", tuple(self.chains))
+        _require_finite(self)
         packs = tuple(_ChainPack(c) for c in self.chains)
         anchors = np.stack([p.anchor for p in packs])
         anchors.flags.writeable = False
@@ -216,32 +206,10 @@ class RobotModel:
 
 def frame_transform(params: MdhJointParams, q: float = 0.0) -> np.ndarray:
     """Homogeneous transform parent<-frame for one row at joint value q."""
-    gamma = params.gamma
-    b = params.b
-    alpha = params.alpha
-    d = params.d
-    theta = params.theta
-    r = params.r
-    if params.kind == "prismatic":
-        r = r + q
-    else:
-        theta = theta + q
-    cg, sg = math.cos(gamma), math.sin(gamma)
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    ct, st = math.cos(theta), math.sin(theta)
+    L = _kernels.place(_frame_row(params, -1), q)
     T = np.eye(4)
-    T[0, 0] = cg * ct - sg * ca * st
-    T[0, 1] = -cg * st - sg * ca * ct
-    T[0, 2] = sg * sa
-    T[1, 0] = sg * ct + cg * ca * st
-    T[1, 1] = -sg * st + cg * ca * ct
-    T[1, 2] = -cg * sa
-    T[2, 0] = sa * st
-    T[2, 1] = sa * ct
-    T[2, 2] = ca
-    T[0, 3] = d * cg + r * sg * sa
-    T[1, 3] = d * sg - r * cg * sa
-    T[2, 3] = b + r * ca
+    T[:3, :3] = np.reshape(L[:9], (3, 3))
+    T[:3, 3] = L[9:]
     return T
 
 
@@ -373,10 +341,28 @@ def load_model(source) -> RobotModel:
     return model
 
 
-def validate_model(model: RobotModel) -> None:
-    """Raise ValidationError if the model is structurally inconsistent."""
+def _require_finite(model: RobotModel) -> None:
     if not np.all(np.isfinite(model.gravity)):
         raise ValidationError("gravity must be finite")
+    if not math.isfinite(model.platform_mass):
+        raise ValidationError("platform_mass must be finite")
+    for ci, chain in enumerate(model.chains, start=1):
+        base = chain.base
+        lengths = (base.gamma, base.b, base.alpha, base.d, base.theta, base.r,
+                   chain.d4, chain.d6, chain.r2, chain.b7, chain.b9, chain.r5, chain.d8)
+        if not np.all(np.isfinite(lengths)):
+            raise ValidationError("chain%d: base row, bar lengths and offsets must be finite" % ci)
+        for li, link in enumerate(chain.links, start=1):
+            if not (math.isfinite(link.mass) and np.all(np.isfinite(link.first_moment))
+                    and np.all(np.isfinite(link.inertia))):
+                raise ValidationError("chain%d.link%d: mass, ms and inertia must be finite" % (ci, li))
+
+
+def validate_model(model: RobotModel) -> None:
+    """Raise ValidationError if the model is structurally inconsistent.
+
+    Non-finite values are already refused when the RobotModel is built.
+    """
     if not (model.platform_mass > 0.0):
         raise ValidationError("platform_mass must be positive")
     for ci, chain in enumerate(model.chains, start=1):

@@ -48,10 +48,13 @@ def cartesian_chain_model(model, i, q, qd):
     chain loads the platform with, h_x is the rate and gravity part taken
     at frozen joint rates qd.
     """
-    Jinv = chain_jacobian_inverse(model, i, q)
-    A = chain_inertia_A(model, i, q)
-    h = chain_bias_h(model, i, q, qd)
-    return Jinv.T @ A @ Jinv, Jinv.T @ h
+    return _pull_back(model, i, q, qd, chain_jacobian_inverse(model, i, q))
+
+
+def _pull_back(model, i, q, qd, Jinv):
+    """(Jinv^T A Jinv, Jinv^T h) of chain i, given its Jacobian inverse."""
+    JinvT = Jinv.T
+    return JinvT @ chain_inertia_A(model, i, q) @ Jinv, JinvT @ chain_bias_h(model, i, q, qd)
 
 
 def _assemble(model, chain_q, chain_qd, jinvs):
@@ -60,12 +63,7 @@ def _assemble(model, chain_q, chain_qd, jinvs):
     for i in range(3):
         q = chain_q[i]
         qd = chain_qd[i]
-        Jinv = jinvs[i]
-        A_i = chain_inertia_A(model, i, q)
-        h_i = chain_bias_h(model, i, q, qd)
-        JinvT = Jinv.T
-        A_x = JinvT @ A_i @ Jinv
-        h_x = JinvT @ h_i
+        A_x, h_x = _pull_back(model, i, q, qd, jinvs[i])
         # the pulled-back inertia acts on Vdot = J qdd + Jdot qd, so the
         # Jacobian rate shows up as a correction to the bias
         jdq = chain_jacobian_dot(model, i, q, qd) @ qd

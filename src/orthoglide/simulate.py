@@ -208,7 +208,8 @@ def _r(x) -> str:
     return repr(float(x))
 
 
-def write_trajectory_csv(samples, path) -> None:
+def format_trajectory_csv(samples) -> str:
+    """CSV text of the samples, as write_trajectory_csv stores it."""
     lines = [CSV_HEADER]
     for s in samples:
         row = [_r(s.t)]
@@ -218,8 +219,12 @@ def write_trajectory_csv(samples, path) -> None:
         row += [_r(x) for x in s.L]
         row += [_r(x) for x in s.Gamma]
         lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def write_trajectory_csv(samples, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(format_trajectory_csv(samples))
 
 
 def read_trajectory_csv(path):
@@ -229,7 +234,10 @@ def read_trajectory_csv(path):
         raise ParseError("bad trajectory CSV header")
     samples = []
     for ln in lines[1:]:
-        vals = [float(x) for x in ln.split(",")]
+        try:
+            vals = [float(x) for x in ln.split(",")]
+        except ValueError:
+            raise ParseError("bad trajectory CSV row: non-numeric cell in '%s'" % ln) from None
         if len(vals) != 16:
             raise ParseError("bad trajectory CSV row: expected 16 columns")
         samples.append(
@@ -241,7 +249,8 @@ def read_trajectory_csv(path):
     return samples
 
 
-def write_trajectory_json(samples, path) -> None:
+def format_trajectory_json(samples) -> str:
+    """JSON text of the samples, as write_trajectory_json stores it."""
     data = {
         "samples": [
             {
@@ -256,9 +265,12 @@ def write_trajectory_json(samples, path) -> None:
             for s in samples
         ]
     }
+    return json.dumps(data, indent=1) + "\n"
+
+
+def write_trajectory_json(samples, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=1)
-        fh.write("\n")
+        fh.write(format_trajectory_json(samples))
 
 
 def read_trajectory_json(path):

@@ -45,7 +45,7 @@ from .kinematics import (
     parallelogram_gap,
     robot_jacobian_inverse,
 )
-from .model import model_with_gravity
+from .model import TREE_ROWS, model_with_gravity, tree_slots
 from .robot_dynamics import (
     assemble_robot_dyn,
     direct_dynamics,
@@ -61,26 +61,19 @@ DEFAULT_SEED = 42
 # energies
 
 
-def _tree_frames(pack, q6):
-    q7 = np.zeros(7)
-    q7[:5] = q6[:5]
-    q7[6] = q6[5]
-    R = np.empty((7, 3, 3))
-    O = np.empty((7, 3))
-    _kernels.chain_frames(pack.mdh7, pack.parents7, q7, R, O)
-    return R, O
+def _tree_frames(model, i, q6):
+    """World rotations (7, 3, 3) and origins (7, 3) of chain i's tree bodies."""
+    R, O = _kernels.chain_frames(model._packs[i].frames, tree_slots(q6))
+    return np.reshape(R, (7, 3, 3)), np.array(O)
 
 
 def _tree_potential(model, i, q6) -> float:
     """Gravity potential of the free 7-body tree of chain i."""
-    pack = model._packs[i]
-    R, O = _tree_frames(pack, np.asarray(q6, dtype=float).reshape(6))
+    R, O = _tree_frames(model, i, q6)
     g = model.gravity
     U = 0.0
-    for b in range(7):
-        M = pack.inertia7[b, 0]
-        ms = pack.inertia7[b, 1:4]
-        U -= g @ (M * O[b] + R[b] @ ms)
+    for b, link in enumerate(model.chains[i].links):
+        U -= g @ (link.mass * O[b] + R[b] @ link.first_moment)
     return float(U)
 
 
@@ -172,40 +165,37 @@ def composite_tree_inertia(model, i, q_tree) -> np.ndarray:
     Works entirely in world coordinates about the world origin, so it shares
     nothing with the recursive sweep it is checked against.
     """
-    pack = model._packs[i]
-    q6 = np.asarray(q_tree, dtype=float).reshape(6)
-    R, O = _tree_frames(pack, q6)
+    frames = model._packs[i].frames
+    R, O = _tree_frames(model, i, q_tree)
     Ms = np.zeros(7)
     hs = np.zeros((7, 3))
     Js = np.zeros((7, 3, 3))
-    for b in range(7):
-        M = pack.inertia7[b, 0]
-        ms = pack.inertia7[b, 1:4]
-        J = pack.inertia7[b, 4:13].reshape(3, 3)
-        h_w = R[b] @ ms
+    for b, link in enumerate(model.chains[i].links):
+        M = link.mass
+        J = link.inertia
+        h_w = R[b] @ link.first_moment
         Sp = _skew(O[b])
         Sh = _skew(h_w)
         Ms[b] = M
         hs[b] = h_w + M * O[b]
         Js[b] = R[b] @ J @ R[b].T - Sp @ Sh - Sh @ Sp - M * (Sp @ Sp)
     for b in range(6, 0, -1):
-        par = pack.parents7[b]
+        par = frames[b][0]
         Ms[par] += Ms[b]
         hs[par] += hs[b]
         Js[par] += Js[b]
 
-    joint_rows = (0, 1, 2, 3, 4, 6)
-    row_to_idx = {r: k for k, r in enumerate(joint_rows)}
+    row_to_idx = {r: k for k, r in enumerate(TREE_ROWS)}
     screws = {}
-    for row in joint_rows:
+    for row in TREE_ROWS:
         axis = R[row][:, 2]
-        if pack.types7[row] == 1:
+        if frames[row][1] == _kernels.PRISMATIC:
             screws[row] = (np.zeros(3), axis.copy())
         else:
             screws[row] = (axis.copy(), np.cross(O[row], axis))
 
     Mt = np.zeros((6, 6))
-    for jj, rj in enumerate(joint_rows):
+    for jj, rj in enumerate(TREE_ROWS):
         w, v0 = screws[rj]
         pdot = Ms[rj] * v0 + np.cross(w, hs[rj])
         ldot = np.cross(hs[rj], v0) + Js[rj] @ w
@@ -214,7 +204,7 @@ def composite_tree_inertia(model, i, q_tree) -> np.ndarray:
             if r in row_to_idx:
                 wk, vk = screws[r]
                 Mt[row_to_idx[r], jj] = wk @ ldot + vk @ pdot
-            r = int(pack.parents7[r])
+            r = frames[r][0]
     iu = np.triu_indices(6, 1)
     Mt[(iu[1], iu[0])] = Mt[iu]
     return Mt

@@ -163,3 +163,29 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("L: 0.0 ")
+
+
+def test_simulate_torque_file_non_numeric_cell(tmp_path, capsys):
+    tq = tmp_path / "tq.csv"
+    tq.write_text("t,G1,G2,G3\n0.0,0.1,oops,0.0\n")
+    rc = main(["simulate", "--point", "0,0,0.6", "--t-end", "0.001", "--torque-file", str(tq)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("ERROR:ParseError:")
+
+
+def test_simulate_missing_torque_file(tmp_path, capsys):
+    rc = main([
+        "simulate", "--point", "0,0,0.6", "--t-end", "0.001",
+        "--torque-file", str(tmp_path / "no_such.csv"),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("ERROR:FileNotFoundError:")
+
+
+def test_simulate_out_into_missing_directory(tmp_path, capsys):
+    rc = main([
+        "simulate", "--point", "0,0,0.6", "--dt", "1e-3", "--t-end", "0.001",
+        "--out", str(tmp_path / "no_such_dir" / "run.csv"),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("ERROR:FileNotFoundError:")

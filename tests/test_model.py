@@ -200,3 +200,22 @@ def test_model_with_gravity(model):
 
 def test_default_model_builds_fresh_instances():
     assert default_model() is not default_model()
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("platform_mass = 1.0", "platform_mass = inf"),
+        ("base_d = 0.0", "base_d = nan"),
+        ("base_gamma = 0.0", "base_gamma = inf"),
+        ("d6 = 0.1", "d6 = nan"),
+        ("r2 = 0.05\nb7 = -0.1\nb9 = -0.05\nr5 = -0.05", "r2 = inf\nb7 = -inf\nb9 = -inf\nr5 = -inf"),
+        ("[chain1.link1]\nmass = 1.0", "[chain1.link1]\nmass = nan"),
+        ("ms = 0.0, 0.025, 0.0", "ms = 0.0, inf, 0.0"),
+        ("inertia = 0.001, 0.0, 0.0", "inertia = 0.001, nan, 0.0"),
+    ],
+)
+def test_non_finite_values_rejected(old, new):
+    assert old in DEFAULT_CONFIG
+    with pytest.raises(ValidationError):
+        load_model(DEFAULT_CONFIG.replace(old, new, 1))

@@ -188,3 +188,10 @@ def test_bad_run_settings_rejected(model):
         simulate(model, P_HOME, (0, 0, 0), config=SimConfig(t_end=-1.0))
     with pytest.raises(ValidationError):
         simulate(model, P_HOME, (0, 0, 0), config=SimConfig(record_every=0))
+
+
+def test_read_csv_non_numeric_cell_is_parse_error(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(CSV_HEADER + "\n" + ",".join(["0.0"] * 15 + ["oops"]) + "\n")
+    with pytest.raises(ParseError):
+        read_trajectory_csv(path)
