@@ -49,10 +49,10 @@ write_trajectory_json(res.samples, "pick_move.json")
 print("wrote pick_move.csv and pick_move.json (%d samples)" % len(res.samples))
 
 # energy bookkeeping along the way: the actuators inject positive work
-# on the way out of the gravity well
-ts = np.array([s.t for s in res.samples])
-power = np.array([s.Gamma @ s.Ldot for s in res.samples])
-print("peak actuator power %.4f W at t=%.3f s" % (power.max(), ts[power.argmax()]))
+# on the way out of the gravity well (the samples are stored as columns)
+traj = res.samples
+power = (traj.Gamma * traj.Ldot).sum(axis=1)
+print("peak actuator power %.4f W at t=%.3f s" % (power.max(), traj.t[power.argmax()]))
 
 # with no torque at all the platform falls until a chain folds; the run
 # reports why it stopped instead of raising

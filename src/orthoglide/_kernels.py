@@ -1,6 +1,9 @@
 """Hot numerical kernels: frame placement, tree Newton-Euler, kinetic energy.
 
-Plain Python, one scalar operation at a time. model.py packs each chain
+Plain Python, one scalar operation at a time. tree_newton_euler is the
+general sweep (rates, gravity, platform load); tree_unit_efforts is the
+same sweep at rest for several accelerations at once, the columns of the
+joint-space inertia, with each body placed once. model.py packs each chain
 once into the two tables these functions read:
 
   frames:  a tuple of nine rows, one per frame in tree order (frames
@@ -103,7 +106,6 @@ def tree_newton_euler(frames, inertia, q, qd, qdd, g, fext):
     R0 = np.zeros((n, 9))
     w = np.zeros((n, 3))
     wd = np.zeros((n, 3))
-    v = np.zeros((n, 3))
     a = np.zeros((n, 3))
 
     for j in range(n):
@@ -116,7 +118,6 @@ def tree_newton_euler(frames, inertia, q, qd, qdd, g, fext):
         if p < 0:
             wix = wiy = wiz = 0.0
             wdix = wdiy = wdiz = 0.0
-            vix = viy = viz = 0.0
             aix = -g[0]
             aiy = -g[1]
             aiz = -g[2]
@@ -124,7 +125,6 @@ def tree_newton_euler(frames, inertia, q, qd, qdd, g, fext):
         else:
             wix, wiy, wiz = w[p]
             wdix, wdiy, wdiz = wd[p]
-            vix, viy, viz = v[p]
             aix, aiy, aiz = a[p]
             R0[j] = _rot_mul(R0[p], L)
 
@@ -144,9 +144,6 @@ def tree_newton_euler(frames, inertia, q, qd, qdd, g, fext):
         sax = aix + ex + ux
         say = aiy + ey + uy
         saz = aiz + ez + uz
-        svx = vix + cx
-        svy = viy + cy
-        svz = viz + cz
 
         # rotate into the child frame with Rl^T
         wjx = r00 * wix + r10 * wiy + r20 * wiz
@@ -155,9 +152,6 @@ def tree_newton_euler(frames, inertia, q, qd, qdd, g, fext):
         wdjx = r00 * wdix + r10 * wdiy + r20 * wdiz
         wdjy = r01 * wdix + r11 * wdiy + r21 * wdiz
         wdjz = r02 * wdix + r12 * wdiy + r22 * wdiz
-        vjx = r00 * svx + r10 * svy + r20 * svz
-        vjy = r01 * svx + r11 * svy + r21 * svz
-        vjz = r02 * svx + r12 * svy + r22 * svz
         ajx = r00 * sax + r10 * say + r20 * saz
         ajy = r01 * sax + r11 * say + r21 * saz
         ajz = r02 * sax + r12 * say + r22 * saz
@@ -175,11 +169,9 @@ def tree_newton_euler(frames, inertia, q, qd, qdd, g, fext):
             ajx += 2.0 * wjy * qdj
             ajy += -2.0 * wjx * qdj
             ajz += qdd[j]
-            vjz += qdj
 
         w[j] = (wjx, wjy, wjz)
         wd[j] = (wdjx, wdjy, wdjz)
-        v[j] = (vjx, vjy, vjz)
         a[j] = (ajx, ajy, ajz)
 
     f = np.zeros((n, 3))
@@ -259,6 +251,94 @@ def tree_newton_euler(frames, inertia, q, qd, qdd, g, fext):
         elif kind == PRISMATIC:
             gam.append(f[j][2])
     return gam
+
+
+def tree_unit_efforts(frames, inertia, q, units):
+    """tree_newton_euler at rest for several accelerations at one q.
+
+    Rest means zero rates, zero gravity and no platform load. Each body is
+    placed once and the placement serves every per-frame acceleration
+    vector in units. Returns one effort list per vector, laid out as
+    tree_newton_euler's, and bit for bit the efforts it returns: at rest
+    the angular velocities, gravity and the load are signed zeros, so the
+    terms they enter are left out and the remaining ones keep its
+    expressions and order. A left-out term can change only the sign of a
+    zero, and no effort is -0.0 in either sweep (each is a sum begun at
+    +0.0), so the efforts agree in every bit.
+    """
+    n = len(inertia)
+    rows = inertia.tolist()
+    bodies = [(row[0], row[1], place(row, qj)) for row, qj in zip(frames[:n], q)]
+    jointed = [j for j in range(n) if frames[j][1] != FIXED]
+    out = []
+    for qdd in units:
+        wd = []
+        a = []
+        for j in range(n):
+            p, kind, (r00, r01, r02, r10, r11, r12, r20, r21, r22, px, py, pz) = bodies[j]
+            if p < 0:
+                wdjx = wdjy = wdjz = 0.0
+                ajx = ajy = ajz = 0.0
+            else:
+                wdix, wdiy, wdiz = wd[p]
+                aix, aiy, aiz = a[p]
+                # e = wdi x pl
+                ex = wdiy * pz - wdiz * py
+                ey = wdiz * px - wdix * pz
+                ez = wdix * py - wdiy * px
+                sax = aix + ex
+                say = aiy + ey
+                saz = aiz + ez
+                wdjx = r00 * wdix + r10 * wdiy + r20 * wdiz
+                wdjy = r01 * wdix + r11 * wdiy + r21 * wdiz
+                wdjz = r02 * wdix + r12 * wdiy + r22 * wdiz
+                ajx = r00 * sax + r10 * say + r20 * saz
+                ajy = r01 * sax + r11 * say + r21 * saz
+                ajz = r02 * sax + r12 * say + r22 * saz
+            if kind == REVOLUTE:
+                wdjz += qdd[j]
+            elif kind == PRISMATIC:
+                ajz += qdd[j]
+            wd.append((wdjx, wdjy, wdjz))
+            a.append((ajx, ajy, ajz))
+
+        fx = [0.0] * n
+        fy = [0.0] * n
+        fz = [0.0] * n
+        nx = [0.0] * n
+        ny = [0.0] * n
+        nz = [0.0] * n
+        for j in range(n - 1, -1, -1):
+            M, msx, msy, msz, J00, J01, J02, J10, J11, J12, J20, J21, J22 = rows[j]
+            wdx, wdy, wdz = wd[j]
+            ax, ay, az = a[j]
+            # F = M a + wd x ms
+            Fx = M * ax + (wdy * msz - wdz * msy)
+            Fy = M * ay + (wdz * msx - wdx * msz)
+            Fz = M * az + (wdx * msy - wdy * msx)
+            # N = J wd + ms x a
+            Nx = J00 * wdx + J01 * wdy + J02 * wdz + msy * az - msz * ay
+            Ny = J10 * wdx + J11 * wdy + J12 * wdz + msz * ax - msx * az
+            Nz = J20 * wdx + J21 * wdy + J22 * wdz + msx * ay - msy * ax
+            fjx = fx[j] + Fx
+            fjy = fy[j] + Fy
+            fjz = fz[j] = fz[j] + Fz
+            njx = nx[j] + Nx
+            njy = ny[j] + Ny
+            njz = nz[j] = nz[j] + Nz
+            p, _, L = bodies[j]
+            if p >= 0:
+                ffx = L[0] * fjx + L[1] * fjy + L[2] * fjz
+                ffy = L[3] * fjx + L[4] * fjy + L[5] * fjz
+                ffz = L[6] * fjx + L[7] * fjy + L[8] * fjz
+                fx[p] += ffx
+                fy[p] += ffy
+                fz[p] += ffz
+                nx[p] += L[0] * njx + L[1] * njy + L[2] * njz + L[10] * ffz - L[11] * ffy
+                ny[p] += L[3] * njx + L[4] * njy + L[5] * njz + L[11] * ffx - L[9] * ffz
+                nz[p] += L[6] * njx + L[7] * njy + L[8] * njz + L[9] * ffy - L[10] * ffx
+        out.append([nz[j] if frames[j][1] == REVOLUTE else fz[j] for j in jointed])
+    return out
 
 
 def chain_kinetic(frames, inertia, q, qd):

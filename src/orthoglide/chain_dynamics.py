@@ -101,14 +101,17 @@ def chain_inertia_A(model, i, q):
     """3x3 joint-space inertia of chain i, column by column.
 
     Column k is the torque vector for a unit acceleration of joint k with
-    zero rates and zero gravity. The raw columns must agree with their
-    transpose to 1e-8 relative or a NumericalError is raised; the returned
-    matrix is the symmetrized version.
+    zero rates, zero gravity and no load. One rest sweep
+    (_kernels.tree_unit_efforts) places the tree once and computes the three
+    columns independently, each bit for bit the full Newton-Euler sweep's.
+    The raw columns must agree with their transpose to 1e-8 relative or a
+    NumericalError is raised; the returned matrix is the symmetrized version.
     """
-    q9 = closure_positions(q)
+    pack = model._packs[i]
+    columns = _kernels.tree_unit_efforts(pack.frames, pack.inertia, closure_positions(q), _UNIT_ACCELERATIONS)
     A = np.empty((3, 3))
     for k in range(3):
-        A[:, k] = _reduce3(_sweep(model, i, q9, _REST, _UNIT_ACCELERATIONS[k], _ZERO3))
+        A[:, k] = _reduce3(columns[k])
     defect = float(np.abs(A - A.T).max())
     scale = max(1.0, float(np.abs(A).max()))
     if defect > 1e-8 * scale:

@@ -3,7 +3,9 @@
 State is the platform point and its velocity. Integrators are classic RK4
 (default) and explicit Euler, both on a fixed grid t_k = k dt. Recorded
 samples carry the platform state, the platform acceleration, the actuator
-travels, rates and efforts at the sample instant.
+travels, rates and efforts at the sample instant. A run and the readers
+store them as columns (Trajectory), which hands out one TrajectorySample
+per index.
 
 CSV files use exactly this header and column order:
 
@@ -17,11 +19,13 @@ format keeps every sample field.
 from __future__ import annotations
 
 import json
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OutOfWorkspace, ParseError, ValidationError
+from .errors import ChainSingular, NumericalError, OutOfWorkspace, ParseError, ValidationError
 from .kinematics import igm, ik_velocity
 from .robot_dynamics import direct_dynamics, inverse_dynamics
 
@@ -52,6 +56,42 @@ class TrajectorySample:
             object.__setattr__(self, "Ldot", v)
 
 
+class Trajectory(Sequence):
+    """Recorded samples stored as columns, read as a sequence of samples.
+
+    t has shape (n,); P, V, A, L, Ldot and Gamma have shape (n, 3), and Ldot
+    is None when the rates are unknown (trajectories read from CSV). The
+    columns are read-only copies. An integer index, negative ones included,
+    builds a TrajectorySample; a slice gives a list of them.
+    """
+
+    __slots__ = ("t", "P", "V", "A", "L", "Ldot", "Gamma")
+
+    def __init__(self, t, P, V, A, L, Ldot, Gamma):
+        self.t = _column(t, (-1,))
+        n = len(self.t)
+        self.P, self.V, self.A, self.L, self.Gamma = (_column(x, (n, 3)) for x in (P, V, A, L, Gamma))
+        self.Ldot = None if Ldot is None else _column(Ldot, (n, 3))
+
+    def __len__(self):
+        return len(self.t)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self.t)))]
+        k = operator.index(k)
+        return TrajectorySample(
+            t=self.t[k], P=self.P[k], V=self.V[k], A=self.A[k], L=self.L[k],
+            Ldot=None if self.Ldot is None else self.Ldot[k], Gamma=self.Gamma[k],
+        )
+
+
+def _column(value, shape):
+    col = np.array(value, dtype=float).reshape(shape)
+    col.flags.writeable = False
+    return col
+
+
 @dataclass(frozen=True)
 class SimConfig:
     dt: float = 1e-4
@@ -62,10 +102,13 @@ class SimConfig:
 
 @dataclass
 class SimResult:
-    """samples recorded so far; completed is False when the run stopped
-    early (stop_reason says why, currently always a workspace exit)."""
+    """samples recorded so far, a Trajectory from simulate (any sequence of
+    TrajectorySample is accepted); completed is False when the run stopped
+    early, and stop_reason then names the error kind and its message: a
+    workspace exit (OutOfWorkspace), a fold (ChainSingular) or a tripped
+    numerical guard (NumericalError)."""
 
-    samples: list
+    samples: Sequence
     completed: bool
     stop_reason: str | None = None
     config: SimConfig = field(default_factory=SimConfig)
@@ -139,8 +182,9 @@ def simulate(model, p0, v0, torque_fn=None, config: SimConfig | None = None) -> 
     """Integrate the platform dynamics from (p0, v0) under torque_fn.
 
     The initial state must be inside the workspace (OutOfWorkspace
-    propagates). If the trajectory later leaves the workspace the run stops
-    and the result carries completed=False with the recorded prefix.
+    propagates). If a later step leaves the workspace, reaches a fold or
+    trips a numerical guard, the run stops and the result carries
+    completed=False with the recorded prefix.
     """
     cfg = config if config is not None else SimConfig()
     if cfg.integrator not in ("rk4", "euler"):
@@ -158,12 +202,23 @@ def simulate(model, p0, v0, torque_fn=None, config: SimConfig | None = None) -> 
     dt = cfg.dt
     n_steps = int(round(cfg.t_end / dt))
 
-    samples = []
+    # the start, every record_every-th step and the last one
+    n_records = 1 + -(-n_steps // cfg.record_every)
+    times = np.empty(n_records)
+    columns = np.empty((6, n_records, 3))  # P, V, A, L, Ldot, Gamma
+    count = 0
 
     def record(t, P, V, acc, gamma):
+        nonlocal count
         L, chain_q = igm(model, P)
         Ldot, _ = ik_velocity(model, chain_q, V)
-        samples.append(TrajectorySample(t=t, P=P, V=V, A=acc, L=L, Ldot=Ldot, Gamma=gamma))
+        times[count] = t
+        for column, value in zip(columns, (P, V, acc, L, Ldot, gamma)):
+            column[count] = value
+        count += 1
+
+    def result(completed, stop_reason):
+        return SimResult(Trajectory(times[:count], *columns[:, :count]), completed, stop_reason, cfg)
 
     # first sample: workspace errors here are the caller's problem
     gamma = np.asarray(fn(0.0), dtype=float).reshape(3)
@@ -191,35 +246,27 @@ def simulate(model, p0, v0, torque_fn=None, config: SimConfig | None = None) -> 
             t_next = (k + 1) * dt
             gamma = np.asarray(fn(t_next), dtype=float).reshape(3)
             acc = direct_dynamics(model, P_next, V_next, gamma)
-        except OutOfWorkspace as exc:
-            return SimResult(samples, False, str(exc), cfg)
+        except (OutOfWorkspace, ChainSingular, NumericalError) as exc:
+            return result(False, "%s: %s" % (type(exc).__name__, exc))
         P, V = P_next, V_next
         if (k + 1) % cfg.record_every == 0 or k + 1 == n_steps:
             record(t_next, P, V, acc, gamma)
 
-    return SimResult(samples, True, None, cfg)
+    return result(True, None)
 
 
 # ---------------------------------------------------------------------------
 # trajectory files
 
 
-def _r(x) -> str:
-    return repr(float(x))
-
-
 def format_trajectory_csv(samples) -> str:
     """CSV text of the samples, as write_trajectory_csv stores it."""
-    lines = [CSV_HEADER]
-    for s in samples:
-        row = [_r(s.t)]
-        row += [_r(x) for x in s.P]
-        row += [_r(x) for x in s.V]
-        row += [_r(x) for x in s.A]
-        row += [_r(x) for x in s.L]
-        row += [_r(x) for x in s.Gamma]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    if not isinstance(samples, Trajectory):
+        # columns of any sequence of samples; the CSV keeps no rates
+        t, P, V, A, L, Gamma = ([getattr(s, name) for s in samples] for name in ("t", "P", "V", "A", "L", "Gamma"))
+        samples = Trajectory(t, P, V, A, L, None, Gamma)
+    table = np.column_stack((samples.t, samples.P, samples.V, samples.A, samples.L, samples.Gamma)).tolist()
+    return "\n".join([CSV_HEADER] + [",".join(map(repr, row)) for row in table]) + "\n"
 
 
 def write_trajectory_csv(samples, path) -> None:
@@ -227,12 +274,12 @@ def write_trajectory_csv(samples, path) -> None:
         fh.write(format_trajectory_csv(samples))
 
 
-def read_trajectory_csv(path):
+def read_trajectory_csv(path) -> Trajectory:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise ParseError("bad trajectory CSV header")
-    samples = []
+    rows = []
     for ln in lines[1:]:
         try:
             vals = [float(x) for x in ln.split(",")]
@@ -240,13 +287,11 @@ def read_trajectory_csv(path):
             raise ParseError("bad trajectory CSV row: non-numeric cell in '%s'" % ln) from None
         if len(vals) != 16:
             raise ParseError("bad trajectory CSV row: expected 16 columns")
-        samples.append(
-            TrajectorySample(
-                t=vals[0], P=vals[1:4], V=vals[4:7], A=vals[7:10],
-                L=vals[10:13], Ldot=None, Gamma=vals[13:16],
-            )
-        )
-    return samples
+        rows.append(vals)
+    table = np.array(rows).reshape(-1, 16)
+    return Trajectory(
+        table[:, 0], table[:, 1:4], table[:, 4:7], table[:, 7:10], table[:, 10:13], None, table[:, 13:16]
+    )
 
 
 def format_trajectory_json(samples) -> str:
@@ -273,15 +318,20 @@ def write_trajectory_json(samples, path) -> None:
         fh.write(format_trajectory_json(samples))
 
 
-def read_trajectory_json(path):
+def read_trajectory_json(path) -> Trajectory:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    samples = []
-    for s in data["samples"]:
-        samples.append(
-            TrajectorySample(
-                t=s["t"], P=s["P"], V=s["V"], A=s["A"], L=s["L"],
-                Ldot=s.get("Ldot"), Gamma=s["Gamma"],
-            )
-        )
-    return samples
+    try:
+        samples = data["samples"]
+        t, P, V, A, L, Gamma = ([s[name] for s in samples] for name in ("t", "P", "V", "A", "L", "Gamma"))
+        rates = [s.get("Ldot") for s in samples]
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ParseError("bad trajectory JSON: missing or malformed field %s" % exc) from None
+    if None in rates:
+        if any(r is not None for r in rates):
+            raise ParseError("bad trajectory JSON: Ldot must be given for every sample or for none")
+        rates = None
+    try:
+        return Trajectory(t, P, V, A, L, rates, Gamma)
+    except (TypeError, ValueError) as exc:
+        raise ParseError("bad trajectory JSON: %s" % exc) from None

@@ -582,7 +582,7 @@ def _check_energy_drift(model, rng, n):
     p0 = pack0.anchor + pack0.axis * (chain0.d4 + chain0.d6)
     res = simulate(m, p0, _DRIFT_V0, None, SimConfig(dt=1e-4, t_end=1.0, record_every=10))
     if not res.completed:
-        raise NumericalError("conservation run left the workspace: %s" % res.stop_reason)
+        raise NumericalError("conservation run stopped early: %s" % res.stop_reason)
     E = np.array([total_energy(m, s.P, s.V) for s in res.samples])
     T = np.array([kinetic_energy(m, s.P, s.V) for s in res.samples])
     # the potential offset is arbitrary, so normalize drift by the actual
@@ -603,7 +603,7 @@ def _check_tracking(model, rng, n):
     torque = feedforward_torque(model, path)
     res = simulate(model, p0, np.zeros(3), torque, SimConfig(dt=1e-4, t_end=0.5, record_every=10))
     if not res.completed:
-        raise NumericalError("tracking run left the workspace: %s" % res.stop_reason)
+        raise NumericalError("tracking run stopped early: %s" % res.stop_reason)
     worst = 0.0
     for s in res.samples:
         worst = max(worst, float(np.linalg.norm(s.P - path(s.t)[0])))
@@ -616,7 +616,7 @@ def _check_power_balance(model, rng, n):
     dt = 5e-4
     res = simulate(model, p0, np.zeros(3), torque, SimConfig(dt=dt, t_end=0.5))
     if not res.completed:
-        raise NumericalError("power balance run left the workspace: %s" % res.stop_reason)
+        raise NumericalError("power balance run stopped early: %s" % res.stop_reason)
     samples = res.samples
     E = np.array([total_energy(model, s.P, s.V) for s in samples])
     P_in = np.array([float(s.Gamma @ s.Ldot) for s in samples])

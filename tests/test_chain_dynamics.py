@@ -21,6 +21,8 @@ from orthoglide import (
     model_with_gravity,
     tree_newton_euler,
 )
+from orthoglide.chain_dynamics import _REST, _UNIT_ACCELERATIONS, _reduce3, _sweep
+from orthoglide.model import closure_positions
 from orthoglide.verify import _tree_potential
 
 HALF_PI = math.pi / 2
@@ -142,3 +144,44 @@ def test_corrupted_inertia_trips_symmetry_guard(model):
         chain_inertia_A(bad_model, 0, (0.0, -1.3, 0.3))
     # untouched chains keep working
     chain_inertia_A(bad_model, 1, (0.0, -1.3, 0.3))
+
+
+def _inertia_by_full_sweeps(model, i, q):
+    """chain_inertia_A as three general Newton-Euler sweeps, one per column."""
+    q9 = closure_positions(q)
+    A = np.empty((3, 3))
+    for k in range(3):
+        A[:, k] = _reduce3(_sweep(model, i, q9, _REST, _UNIT_ACCELERATIONS[k], (0.0, 0.0, 0.0)))
+    return 0.5 * (A + A.T)
+
+
+def _inertia_states(rng):
+    """Seeded chain states: generic ones, ones within 1e-3 of a fold, and
+    ones with exact-zero (and exact signed-zero) coordinates."""
+    states = [_rand_q(rng) for _ in range(200)]
+    for _ in range(150):
+        d = rng.uniform(-1e-3, 1e-3)
+        q1, q2, q3 = rng.uniform(-0.2, 0.2), -HALF_PI + rng.uniform(-1.1, 1.1), rng.uniform(-1.1, 1.1)
+        folds = ((q1, d, q3), (q1, -math.pi + d, q3), (q1, q2, HALF_PI + d), (q1, q2, -HALF_PI + d))
+        states.append(np.array(folds[rng.integers(0, 4)]))
+    special = (0.0, -0.0, HALF_PI, -HALF_PI, math.pi)
+    for _ in range(150):
+        q = _rand_q(rng)
+        for k in np.flatnonzero(rng.random(3) < 0.6):
+            q[k] = special[rng.integers(0, len(special))]
+        states.append(q)
+    states += [np.zeros(3), np.array([0.0, -0.0, -0.0])]
+    return states
+
+
+def test_inertia_rest_sweep_is_bitwise_the_full_sweeps(model, rng):
+    states = _inertia_states(rng)
+    assert len(states) >= 500
+    zeros = 0
+    for q in states:
+        for i in range(3):
+            A = chain_inertia_A(model, i, q)
+            assert A.tobytes() == _inertia_by_full_sweeps(model, i, q).tobytes(), (i, q)
+            zeros += int(np.count_nonzero(A == 0.0))
+    # exact-zero entries occur, so their signs are compared too
+    assert zeros > 0

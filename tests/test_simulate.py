@@ -1,13 +1,19 @@
+import dataclasses
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from orthoglide import (
     CSV_HEADER,
+    ChainSingular,
+    NumericalError,
     OutOfWorkspace,
     ParseError,
     SimConfig,
+    Trajectory,
     ValidationError,
     feedforward_torque,
     model_with_gravity,
@@ -195,3 +201,105 @@ def test_read_csv_non_numeric_cell_is_parse_error(tmp_path):
     path.write_text(CSV_HEADER + "\n" + ",".join(["0.0"] * 15 + ["oops"]) + "\n")
     with pytest.raises(ParseError):
         read_trajectory_csv(path)
+
+
+@pytest.mark.parametrize("error", [NumericalError("torque law guard tripped"), ChainSingular(2, "cos(q3) = 0")])
+def test_numerical_error_mid_run_keeps_prefix(model, error):
+    cfg = SimConfig(dt=1e-3, t_end=0.01)
+    full = simulate(model, P_HOME, (0.01, 0.0, 0.0), config=cfg)
+
+    def torque(t):
+        # steps up to t = 0.004 complete; the next one trips
+        if t > 0.0042:
+            raise error
+        return np.zeros(3)
+
+    res = simulate(model, P_HOME, (0.01, 0.0, 0.0), torque_fn=torque, config=cfg)
+    assert not res.completed
+    assert res.stop_reason == "%s: %s" % (type(error).__name__, error)
+    assert [s.t for s in res.samples] == [s.t for s in full.samples[:5]]
+    for s, r in zip(full.samples, res.samples):
+        assert np.array_equal(s.P, r.P) and np.array_equal(s.V, r.V) and np.array_equal(s.A, r.A)
+
+
+def test_samples_are_a_read_only_column_sequence(model):
+    res = simulate(model, P_HOME, (0.01, -0.02, 0.0), config=SimConfig(dt=1e-3, t_end=0.005))
+    samples = res.samples
+    assert isinstance(samples, Trajectory) and len(samples) == 6
+    assert samples.P.shape == (6, 3) and samples.t.shape == (6,)
+    assert samples[-1].t == samples[5].t == samples.t[-1]
+    assert np.array_equal(samples[-2].V, samples.V[4])
+    with pytest.raises(IndexError):
+        samples[6]
+    with pytest.raises(ValueError):
+        samples.P[0, 0] = 1.0
+    with pytest.raises(TypeError):
+        samples[0] = samples[1]
+    head = samples[:2]
+    assert isinstance(head, list) and [s.t for s in head] == [0.0, 0.001]
+    assert [s.t for s in samples[::-2]] == [samples.t[5], samples.t[3], samples.t[1]]
+    joined = samples[:2] + [samples[-1]]
+    assert [s.t for s in joined] == [0.0, 0.001, samples.t[-1]]
+    assert [s.t for s in samples] == list(samples.t)
+    # a plain list of samples is still a valid result
+    replaced = dataclasses.replace(res, samples=joined)
+    assert replaced.samples is joined and replaced.completed
+
+
+def test_round_trips_keep_every_column_bit_for_bit(model, tmp_path):
+    res = simulate(model, P_HOME, (0.01, -0.02, 0.0), config=SimConfig(dt=1e-3, t_end=0.01))
+    write_trajectory_csv(res.samples, tmp_path / "run.csv")
+    write_trajectory_json(res.samples, tmp_path / "run.json")
+    from_csv = read_trajectory_csv(tmp_path / "run.csv")
+    from_json = read_trajectory_json(tmp_path / "run.json")
+    assert isinstance(from_csv, Trajectory) and isinstance(from_json, Trajectory)
+    for name in ("t", "P", "V", "A", "L", "Gamma"):
+        assert getattr(from_csv, name).tobytes() == getattr(res.samples, name).tobytes()
+        assert getattr(from_json, name).tobytes() == getattr(res.samples, name).tobytes()
+    assert from_csv.Ldot is None and from_csv[0].Ldot is None
+    assert from_json.Ldot.tobytes() == res.samples.Ldot.tobytes()
+    # writing a list of samples gives the same text as writing the columns
+    write_trajectory_csv(list(res.samples), tmp_path / "list.csv")
+    assert (tmp_path / "list.csv").read_bytes() == (tmp_path / "run.csv").read_bytes()
+
+
+def test_workspace_exit_prefix_is_trimmed(model):
+    cfg = SimConfig(dt=1e-3, t_end=2.0)
+    res = simulate(model, P_HOME, (0.0, 0.0, 0.0), torque_fn=lambda t: np.array([0.0, 300.0, 0.0]), config=cfg)
+    assert not res.completed and res.stop_reason.startswith("OutOfWorkspace: ")
+    n = len(res.samples)
+    assert 1 <= n < 2001 and res.samples.P.shape == (n, 3)
+    assert np.isfinite(res.samples.P).all() and np.all(np.diff(res.samples.t) > 0.0)
+
+
+def test_read_csv_retains_columns_only(tmp_path):
+    n = 2000
+    rng = np.random.default_rng(5)
+    cols = rng.normal(size=(n, 15))
+    traj = Trajectory(np.arange(n) * 1e-4, cols[:, 0:3], cols[:, 3:6], cols[:, 6:9], cols[:, 9:12], None, cols[:, 12:15])
+    path = tmp_path / "long.csv"
+    write_trajectory_csv(traj, path)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        back = read_trajectory_csv(path)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(back) == n
+    assert retained / n < 256
+
+
+def test_json_with_rates_on_some_samples_only_is_parse_error(model, tmp_path):
+    res = simulate(model, P_HOME, (0.01, 0.0, 0.0), config=SimConfig(dt=1e-3, t_end=0.002))
+    path = tmp_path / "run.json"
+    write_trajectory_json(res.samples, path)
+    data = json.loads(path.read_text())
+    data["samples"][1]["Ldot"] = None
+    path.write_text(json.dumps(data))
+    with pytest.raises(ParseError):
+        read_trajectory_json(path)
+    del data["samples"][0]["P"]
+    path.write_text(json.dumps(data))
+    with pytest.raises(ParseError):
+        read_trajectory_json(path)
