@@ -1,10 +1,14 @@
 """Hot numerical kernels: frame placement, tree Newton-Euler, kinetic energy.
 
 Plain Python, one scalar operation at a time. tree_newton_euler is the
-general sweep (rates, gravity, platform load); tree_unit_efforts is the
-same sweep at rest for several accelerations at once, the columns of the
-joint-space inertia, with each body placed once. model.py packs each chain
-once into the two tables these functions read:
+general sweep (rates, accelerations, gravity, platform load); inverse
+dynamics runs it. Direct dynamics runs two special cases of it, each on
+plain floats with each body placed once and bit for bit the general
+sweep's efforts: tree_unit_efforts, the sweep at rest for several
+accelerations at once (the columns of the joint-space inertia), and
+tree_bias_efforts, the sweep at zero acceleration with no load (the
+velocity and gravity efforts). model.py packs each chain once into the two
+tables these functions read:
 
   frames:  a tuple of nine rows, one per frame in tree order (frames
            1..9), each (parent, kind, cos gamma, sin gamma, cos alpha,
@@ -339,6 +343,112 @@ def tree_unit_efforts(frames, inertia, q, units):
                 nz[p] += L[6] * njx + L[7] * njy + L[8] * njz + L[9] * ffy - L[10] * ffx
         out.append([nz[j] if frames[j][1] == REVOLUTE else fz[j] for j in jointed])
     return out
+
+
+def tree_bias_efforts(frames, inertia, q, qd, g):
+    """tree_newton_euler with zero joint accelerations and no platform load.
+
+    These are the velocity and gravity efforts. Each body is placed once and
+    every quantity is a Python float. The efforts are bit for bit those
+    tree_newton_euler returns: the joint accelerations, the load and the
+    rates of the world frame are signed zeros, so the terms they enter are
+    left out, as are the world rotations that only the load needs; the
+    remaining terms keep its expressions and order. A left-out term can
+    change only the sign of a zero, and no effort is -0.0 in either sweep
+    (each is a sum begun at +0.0), so the efforts agree in every bit.
+    """
+    n = len(inertia)
+    rows = inertia.tolist()
+    bodies = [(row[0], row[1], place(row, qj)) for row, qj in zip(frames[:n], q)]
+    gx, gy, gz = map(float, g)
+    w = []
+    wd = []
+    a = []
+    for j in range(n):
+        p, kind, (r00, r01, r02, r10, r11, r12, r20, r21, r22, px, py, pz) = bodies[j]
+        if p < 0:
+            wjx = wjy = wjz = 0.0
+            wdjx = wdjy = wdjz = 0.0
+            sax = -gx
+            say = -gy
+            saz = -gz
+        else:
+            wix, wiy, wiz = w[p]
+            wdix, wdiy, wdiz = wd[p]
+            aix, aiy, aiz = a[p]
+            # c = wi x pl
+            cx = wiy * pz - wiz * py
+            cy = wiz * px - wix * pz
+            cz = wix * py - wiy * px
+            # u = wi x c, e = wdi x pl
+            sax = aix + (wdiy * pz - wdiz * py) + (wiy * cz - wiz * cy)
+            say = aiy + (wdiz * px - wdix * pz) + (wiz * cx - wix * cz)
+            saz = aiz + (wdix * py - wdiy * px) + (wix * cy - wiy * cx)
+            wjx = r00 * wix + r10 * wiy + r20 * wiz
+            wjy = r01 * wix + r11 * wiy + r21 * wiz
+            wjz = r02 * wix + r12 * wiy + r22 * wiz
+            wdjx = r00 * wdix + r10 * wdiy + r20 * wdiz
+            wdjy = r01 * wdix + r11 * wdiy + r21 * wdiz
+            wdjz = r02 * wdix + r12 * wdiy + r22 * wdiz
+        ajx = r00 * sax + r10 * say + r20 * saz
+        ajy = r01 * sax + r11 * say + r21 * saz
+        ajz = r02 * sax + r12 * say + r22 * saz
+        if kind == REVOLUTE:
+            qdj = qd[j]
+            wdjx += wjy * qdj
+            wdjy += -wjx * qdj
+            wjz += qdj
+        elif kind == PRISMATIC:
+            qdj = qd[j]
+            ajx += 2.0 * wjy * qdj
+            ajy += -2.0 * wjx * qdj
+        w.append((wjx, wjy, wjz))
+        wd.append((wdjx, wdjy, wdjz))
+        a.append((ajx, ajy, ajz))
+
+    fx = [0.0] * n
+    fy = [0.0] * n
+    fz = [0.0] * n
+    nx = [0.0] * n
+    ny = [0.0] * n
+    nz = [0.0] * n
+    for j in range(n - 1, -1, -1):
+        M, msx, msy, msz, J00, J01, J02, J10, J11, J12, J20, J21, J22 = rows[j]
+        wx, wy, wz = w[j]
+        wdx, wdy, wdz = wd[j]
+        ax, ay, az = a[j]
+        # F = M a + wd x ms + w x (w x ms)
+        t2x = wy * msz - wz * msy
+        t2y = wz * msx - wx * msz
+        t2z = wx * msy - wy * msx
+        Fx = M * ax + (wdy * msz - wdz * msy) + (wy * t2z - wz * t2y)
+        Fy = M * ay + (wdz * msx - wdx * msz) + (wz * t2x - wx * t2z)
+        Fz = M * az + (wdx * msy - wdy * msx) + (wx * t2y - wy * t2x)
+        # N = J wd + w x (J w) + ms x a
+        Jwx = J00 * wx + J01 * wy + J02 * wz
+        Jwy = J10 * wx + J11 * wy + J12 * wz
+        Jwz = J20 * wx + J21 * wy + J22 * wz
+        Nx = J00 * wdx + J01 * wdy + J02 * wdz + wy * Jwz - wz * Jwy + msy * az - msz * ay
+        Ny = J10 * wdx + J11 * wdy + J12 * wdz + wz * Jwx - wx * Jwz + msz * ax - msx * az
+        Nz = J20 * wdx + J21 * wdy + J22 * wdz + wx * Jwy - wy * Jwx + msx * ay - msy * ax
+        fjx = fx[j] + Fx
+        fjy = fy[j] + Fy
+        fjz = fz[j] = fz[j] + Fz
+        njx = nx[j] + Nx
+        njy = ny[j] + Ny
+        njz = nz[j] = nz[j] + Nz
+        p, _, L = bodies[j]
+        if p >= 0:
+            ffx = L[0] * fjx + L[1] * fjy + L[2] * fjz
+            ffy = L[3] * fjx + L[4] * fjy + L[5] * fjz
+            ffz = L[6] * fjx + L[7] * fjy + L[8] * fjz
+            fx[p] += ffx
+            fy[p] += ffy
+            fz[p] += ffz
+            nx[p] += L[0] * njx + L[1] * njy + L[2] * njz + L[10] * ffz - L[11] * ffy
+            ny[p] += L[3] * njx + L[4] * njy + L[5] * njz + L[11] * ffx - L[9] * ffz
+            nz[p] += L[6] * njx + L[7] * njy + L[8] * njz + L[9] * ffy - L[10] * ffx
+    return [nz[j] if kind == REVOLUTE else fz[j] for j, (_, kind, _) in enumerate(bodies) if kind != FIXED]
 
 
 def chain_kinetic(frames, inertia, q, qd):

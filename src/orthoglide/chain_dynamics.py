@@ -74,12 +74,15 @@ def _reduce3(gam):
     return np.array([gam[0], gam[1] - gam[4], gam[2] - gam[3] + gam[5]])
 
 
+def _gravity(model, gravity):
+    return model.gravity if gravity is None else np.asarray(gravity, dtype=float).reshape(3)
+
+
 def _sweep(model, i, q, qd, qdd, gravity=None, f_ext=None):
     """Tree efforts of chain i (frames 1..5, 7) for per-frame q, qd, qdd."""
     pack = model._packs[i]
-    g = model.gravity if gravity is None else np.asarray(gravity, dtype=float).reshape(3)
     fe = _ZERO3 if f_ext is None else np.asarray(f_ext, dtype=float).reshape(3)
-    return _kernels.tree_newton_euler(pack.frames, pack.inertia, q, qd, qdd, g, fe)
+    return _kernels.tree_newton_euler(pack.frames, pack.inertia, q, qd, qdd, _gravity(model, gravity), fe)
 
 
 def tree_newton_euler(model, i, ts: TreeState, gravity=None, f_ext=None):
@@ -122,8 +125,16 @@ def chain_inertia_A(model, i, q):
 
 
 def chain_bias_h(model, i, q, qd, gravity=None):
-    """Velocity and gravity torques of chain i (zero-acceleration efforts)."""
-    gam = _sweep(model, i, closure_positions(q), closure_rates(qd), _REST, gravity)
+    """Velocity and gravity torques of chain i (zero-acceleration efforts).
+
+    One bias sweep (_kernels.tree_bias_efforts) places the tree once and runs
+    on plain floats; its efforts are bit for bit the full Newton-Euler
+    sweep's at zero joint accelerations and no load.
+    """
+    pack = model._packs[i]
+    gam = _kernels.tree_bias_efforts(
+        pack.frames, pack.inertia, closure_positions(q), closure_rates(qd), _gravity(model, gravity)
+    )
     return _reduce3(gam)
 
 

@@ -8,6 +8,8 @@ dynamics ends with one 3x3 linear solve; direct dynamics with another.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .chain_dynamics import chain_bias_h, chain_inertia_A, chain_torques_H
@@ -18,6 +20,17 @@ _EYE3 = np.eye(3)
 _EYE3.flags.writeable = False
 
 
+def _finite_vectors(**vectors):
+    """The named 3-vectors as float arrays; NumericalError names a non-finite one."""
+    out = []
+    for name, value in vectors.items():
+        v = np.asarray(value, dtype=float).reshape(3)
+        if not all(map(math.isfinite, v.tolist())):
+            raise NumericalError("non-finite %s %r" % (name, v.tolist()))
+        out.append(v)
+    return out
+
+
 def platform_force(model, vdot_p) -> np.ndarray:
     """Net force the chains must exert on the platform body."""
     vdot_p = np.asarray(vdot_p, dtype=float).reshape(3)
@@ -26,8 +39,7 @@ def platform_force(model, vdot_p) -> np.ndarray:
 
 def inverse_dynamics(model, p, v_p, vdot_p) -> np.ndarray:
     """Actuator forces that realize platform acceleration vdot_p at (p, v_p)."""
-    v_p = np.asarray(v_p, dtype=float).reshape(3)
-    vdot_p = np.asarray(vdot_p, dtype=float).reshape(3)
+    p, v_p, vdot_p = _finite_vectors(p=p, v_p=v_p, vdot_p=vdot_p)
     _, chain_q = igm(model, p)
     H_robot = platform_force(model, vdot_p)
     Jp_inv = np.empty((3, 3))
@@ -86,9 +98,17 @@ def assemble_robot_dyn(model, chain_q, chain_qd):
 
 def direct_dynamics(model, p, v_p, gamma) -> np.ndarray:
     """Platform acceleration produced by actuator forces gamma at (p, v_p)."""
-    v_p = np.asarray(v_p, dtype=float).reshape(3)
-    gamma = np.asarray(gamma, dtype=float).reshape(3)
-    _, chain_q = igm(model, p)
+    return _direct_dynamics(model, p, v_p, gamma)[0]
+
+
+def _direct_dynamics(model, p, v_p, gamma):
+    """direct_dynamics plus the actuator travels and rates it solved on the way.
+
+    Returns (acceleration, L, Ldot), L and Ldot as igm and ik_velocity give
+    them at (p, v_p).
+    """
+    p, v_p, gamma = _finite_vectors(p=p, v_p=v_p, gamma=gamma)
+    L, chain_q = igm(model, p)
     jinvs = []
     chain_qd = np.empty((3, 3))
     Jp_inv = np.empty((3, 3))
@@ -104,4 +124,4 @@ def direct_dynamics(model, p, v_p, gamma) -> np.ndarray:
     if not (m11 > 0.0 and m22 > 0.0 and np.linalg.det(A_robot) > 0.0):
         raise NumericalError("robot inertia matrix is not positive definite")
     f_act = Jp_inv.T @ gamma
-    return np.linalg.solve(A_robot, f_act - h_robot)
+    return np.linalg.solve(A_robot, f_act - h_robot), L, chain_qd[:, 0]

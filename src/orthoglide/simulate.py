@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ChainSingular, NumericalError, OutOfWorkspace, ParseError, ValidationError
-from .kinematics import igm, ik_velocity
-from .robot_dynamics import direct_dynamics, inverse_dynamics
+from .kinematics import igm
+from .robot_dynamics import _direct_dynamics, direct_dynamics, inverse_dynamics
 
 CSV_HEADER = "t,Px,Py,Pz,Vx,Vy,Vz,Ax,Ay,Az,L1,L2,L3,G1,G2,G3"
 
@@ -56,40 +56,54 @@ class TrajectorySample:
             object.__setattr__(self, "Ldot", v)
 
 
+def _column(index):
+    return property(lambda self: self._data[:, index])
+
+
 class Trajectory(Sequence):
     """Recorded samples stored as columns, read as a sequence of samples.
 
     t has shape (n,); P, V, A, L, Ldot and Gamma have shape (n, 3), and Ldot
     is None when the rates are unknown (trajectories read from CSV). The
-    columns are read-only copies. An integer index, negative ones included,
+    columns are read-only views into one block, a copy of the values laid
+    out as a CSV row (t, P, V, A, L, Gamma) followed by Ldot, so a stored
+    trajectory is a single array. An integer index, negative ones included,
     builds a TrajectorySample; a slice gives a list of them.
     """
 
-    __slots__ = ("t", "P", "V", "A", "L", "Ldot", "Gamma")
+    __slots__ = ("_data",)
+
+    t = _column(0)
+    P = _column(slice(1, 4))
+    V = _column(slice(4, 7))
+    A = _column(slice(7, 10))
+    L = _column(slice(10, 13))
+    Gamma = _column(slice(13, 16))
 
     def __init__(self, t, P, V, A, L, Ldot, Gamma):
-        self.t = _column(t, (-1,))
-        n = len(self.t)
-        self.P, self.V, self.A, self.L, self.Gamma = (_column(x, (n, 3)) for x in (P, V, A, L, Gamma))
-        self.Ldot = None if Ldot is None else _column(Ldot, (n, 3))
+        t = np.asarray(t, dtype=float).reshape(-1, 1)
+        n = len(t)
+        columns = [np.asarray(x, dtype=float).reshape(n, 3) for x in (P, V, A, L, Gamma)]
+        if Ldot is not None:
+            columns.append(np.asarray(Ldot, dtype=float).reshape(n, 3))
+        self._data = np.concatenate([t] + columns, axis=1)
+        self._data.flags.writeable = False
+
+    @property
+    def Ldot(self):
+        return self._data[:, 16:19] if self._data.shape[1] == 19 else None
 
     def __len__(self):
-        return len(self.t)
+        return len(self._data)
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return [self[i] for i in range(*k.indices(len(self.t)))]
-        k = operator.index(k)
+            return [self[i] for i in range(*k.indices(len(self._data)))]
+        row = self._data[operator.index(k)]
         return TrajectorySample(
-            t=self.t[k], P=self.P[k], V=self.V[k], A=self.A[k], L=self.L[k],
-            Ldot=None if self.Ldot is None else self.Ldot[k], Gamma=self.Gamma[k],
+            t=row[0], P=row[1:4], V=row[4:7], A=row[7:10], L=row[10:13],
+            Ldot=row[16:19] if len(row) == 19 else None, Gamma=row[13:16],
         )
-
-
-def _column(value, shape):
-    col = np.array(value, dtype=float).reshape(shape)
-    col.flags.writeable = False
-    return col
 
 
 @dataclass(frozen=True)
@@ -208,12 +222,12 @@ def simulate(model, p0, v0, torque_fn=None, config: SimConfig | None = None) -> 
     columns = np.empty((6, n_records, 3))  # P, V, A, L, Ldot, Gamma
     count = 0
 
-    def record(t, P, V, acc, gamma):
+    def record(t, *values):
+        # values: P, V, A, L, Ldot, Gamma; L and Ldot are the travels and
+        # rates the last direct-dynamics solve found at (P, V)
         nonlocal count
-        L, chain_q = igm(model, P)
-        Ldot, _ = ik_velocity(model, chain_q, V)
         times[count] = t
-        for column, value in zip(columns, (P, V, acc, L, Ldot, gamma)):
+        for column, value in zip(columns, values):
             column[count] = value
         count += 1
 
@@ -222,8 +236,8 @@ def simulate(model, p0, v0, torque_fn=None, config: SimConfig | None = None) -> 
 
     # first sample: workspace errors here are the caller's problem
     gamma = np.asarray(fn(0.0), dtype=float).reshape(3)
-    acc = direct_dynamics(model, P, V, gamma)
-    record(0.0, P, V, acc, gamma)
+    acc, L, Ldot = _direct_dynamics(model, P, V, gamma)
+    record(0.0, P, V, acc, L, Ldot, gamma)
 
     for k in range(n_steps):
         t = k * dt
@@ -245,12 +259,12 @@ def simulate(model, p0, v0, torque_fn=None, config: SimConfig | None = None) -> 
                 V_next = V + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
             t_next = (k + 1) * dt
             gamma = np.asarray(fn(t_next), dtype=float).reshape(3)
-            acc = direct_dynamics(model, P_next, V_next, gamma)
+            acc, L, Ldot = _direct_dynamics(model, P_next, V_next, gamma)
         except (OutOfWorkspace, ChainSingular, NumericalError) as exc:
             return result(False, "%s: %s" % (type(exc).__name__, exc))
         P, V = P_next, V_next
         if (k + 1) % cfg.record_every == 0 or k + 1 == n_steps:
-            record(t_next, P, V, acc, gamma)
+            record(t_next, P, V, acc, L, Ldot, gamma)
 
     return result(True, None)
 
@@ -259,13 +273,18 @@ def simulate(model, p0, v0, torque_fn=None, config: SimConfig | None = None) -> 
 # trajectory files
 
 
+def _rateless_columns(samples) -> Trajectory:
+    """The columns of any sequence of samples, without the actuator rates."""
+    t, P, V, A, L, Gamma = ([getattr(s, name) for s in samples] for name in ("t", "P", "V", "A", "L", "Gamma"))
+    return Trajectory(t, P, V, A, L, None, Gamma)
+
+
 def format_trajectory_csv(samples) -> str:
     """CSV text of the samples, as write_trajectory_csv stores it."""
     if not isinstance(samples, Trajectory):
-        # columns of any sequence of samples; the CSV keeps no rates
-        t, P, V, A, L, Gamma = ([getattr(s, name) for s in samples] for name in ("t", "P", "V", "A", "L", "Gamma"))
-        samples = Trajectory(t, P, V, A, L, None, Gamma)
-    table = np.column_stack((samples.t, samples.P, samples.V, samples.A, samples.L, samples.Gamma)).tolist()
+        # the CSV keeps no rates
+        samples = _rateless_columns(samples)
+    table = samples._data[:, :16].tolist()
     return "\n".join([CSV_HEADER] + [",".join(map(repr, row)) for row in table]) + "\n"
 
 
@@ -296,18 +315,17 @@ def read_trajectory_csv(path) -> Trajectory:
 
 def format_trajectory_json(samples) -> str:
     """JSON text of the samples, as write_trajectory_json stores it."""
+    if isinstance(samples, Trajectory):
+        rates = [None] * len(samples) if samples.Ldot is None else samples.Ldot.tolist()
+    else:
+        # a plain sequence may carry rates on some samples only
+        rates = [None if s.Ldot is None else np.asarray(s.Ldot, dtype=float).reshape(3).tolist() for s in samples]
+        samples = _rateless_columns(samples)
+    t, P, V, A, L, Gamma = (getattr(samples, name).tolist() for name in ("t", "P", "V", "A", "L", "Gamma"))
     data = {
         "samples": [
-            {
-                "t": s.t,
-                "P": list(map(float, s.P)),
-                "V": list(map(float, s.V)),
-                "A": list(map(float, s.A)),
-                "L": list(map(float, s.L)),
-                "Ldot": None if s.Ldot is None else list(map(float, s.Ldot)),
-                "Gamma": list(map(float, s.Gamma)),
-            }
-            for s in samples
+            {"t": ti, "P": pi, "V": vi, "A": ai, "L": li, "Ldot": ri, "Gamma": gi}
+            for ti, pi, vi, ai, li, ri, gi in zip(t, P, V, A, L, rates, Gamma)
         ]
     }
     return json.dumps(data, indent=1) + "\n"

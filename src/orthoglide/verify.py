@@ -683,7 +683,8 @@ def run_verification(model, seed=DEFAULT_SEED, n_samples=100, tolerances=None, c
 
     checks, when given, restricts the battery to those names. Each check
     draws from its own seeded stream, so a subset run reproduces exactly
-    what the full run sees. A check that raises records an infinite error
+    what the full run sees. A check that raises a package error, a numpy
+    linear-algebra error or an ArithmeticError records an infinite error
     instead of aborting the battery.
     """
     tols = dict(TOLERANCES)
@@ -706,7 +707,7 @@ def run_verification(model, seed=DEFAULT_SEED, n_samples=100, tolerances=None, c
         rng = np.random.default_rng([seed, zlib.crc32(name.encode("ascii"))])
         try:
             err, used = fn(model, rng, n)
-        except OrthoglideError:
+        except (OrthoglideError, np.linalg.LinAlgError, ArithmeticError):
             err, used = float("inf"), 0
         tol = tols[name]
         reports.append(OracleReport(name, float(err), int(used), float(tol), bool(err <= tol)))

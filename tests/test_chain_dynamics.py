@@ -22,7 +22,7 @@ from orthoglide import (
     tree_newton_euler,
 )
 from orthoglide.chain_dynamics import _REST, _UNIT_ACCELERATIONS, _reduce3, _sweep
-from orthoglide.model import closure_positions
+from orthoglide.model import closure_positions, closure_rates
 from orthoglide.verify import _tree_potential
 
 HALF_PI = math.pi / 2
@@ -183,5 +183,37 @@ def test_inertia_rest_sweep_is_bitwise_the_full_sweeps(model, rng):
             A = chain_inertia_A(model, i, q)
             assert A.tobytes() == _inertia_by_full_sweeps(model, i, q).tobytes(), (i, q)
             zeros += int(np.count_nonzero(A == 0.0))
+    # exact-zero entries occur, so their signs are compared too
+    assert zeros > 0
+
+
+def _rate_states(rng, n):
+    """Seeded chain rates: generic ones, ones with exact 0.0/-0.0 entries,
+    and all-zero ones of either sign."""
+    rates = []
+    for k in range(n):
+        qd = rng.normal(0.0, 1.0, 3)
+        if k % 3 == 1:
+            for m in np.flatnonzero(rng.random(3) < 0.5):
+                qd[m] = (0.0, -0.0)[rng.integers(0, 2)]
+        elif k % 3 == 2:
+            qd = np.array([(0.0, -0.0)[b] for b in rng.integers(0, 2, 3)])
+        rates.append(qd)
+    return rates
+
+
+@pytest.mark.parametrize("gravity", (None, (0.0, 0.0, 0.0), (0.0, 0.0, -0.2)))
+def test_bias_sweep_is_bitwise_the_full_sweep(model, rng, gravity):
+    states = _inertia_states(rng)
+    rates = _rate_states(rng, len(states))
+    assert len(states) >= 500
+    zeros = 0
+    for q, qd in zip(states, rates):
+        q9, qd9 = closure_positions(q), closure_rates(qd)
+        for i in range(3):
+            h = chain_bias_h(model, i, q, qd, gravity=gravity)
+            full = _reduce3(_sweep(model, i, q9, qd9, _REST, gravity))
+            assert h.tobytes() == full.tobytes(), (i, q, qd)
+            zeros += int(np.count_nonzero(h == 0.0))
     # exact-zero entries occur, so their signs are compared too
     assert zeros > 0

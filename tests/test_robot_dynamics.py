@@ -108,3 +108,22 @@ def test_indefinite_mass_matrix_is_rejected(model):
     bad_model = dataclasses.replace(model, chains=(bad_chain,) + model.chains[1:])
     with pytest.raises(NumericalError):
         direct_dynamics(bad_model, (0.0, 0.0, 0.6), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("bad", (float("nan"), float("inf")))
+@pytest.mark.parametrize(
+    "fn, arg, name",
+    (
+        (direct_dynamics, 0, "p"),
+        (direct_dynamics, 1, "v_p"),
+        (direct_dynamics, 2, "gamma"),
+        (inverse_dynamics, 0, "p"),
+        (inverse_dynamics, 1, "v_p"),
+        (inverse_dynamics, 2, "vdot_p"),
+    ),
+)
+def test_non_finite_state_is_numerical_error(model, fn, arg, name, bad):
+    args = [[0.0, 0.0, 0.6], [0.1, 0.0, 0.0], [0.5, 0.0, 0.0]]
+    args[arg][1] = bad
+    with pytest.raises(NumericalError, match="non-finite %s" % name):
+        fn(model, *args)

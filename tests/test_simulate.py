@@ -303,3 +303,105 @@ def test_json_with_rates_on_some_samples_only_is_parse_error(model, tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(ParseError):
         read_trajectory_json(path)
+
+
+def test_non_finite_initial_velocity_is_numerical_error(model):
+    with pytest.raises(NumericalError, match="non-finite v_p"):
+        simulate(model, P_HOME, (math.nan, 0.0, 0.0), config=SimConfig(dt=1e-3, t_end=0.005))
+
+
+def test_non_finite_torque_mid_run_keeps_prefix(model):
+    cfg = SimConfig(dt=1e-3, t_end=0.01)
+    full = simulate(model, P_HOME, (0.01, 0.0, 0.0), config=cfg)
+
+    def torque(t):
+        return np.full(3, math.nan) if t > 0.0042 else np.zeros(3)
+
+    res = simulate(model, P_HOME, (0.01, 0.0, 0.0), torque_fn=torque, config=cfg)
+    assert not res.completed
+    assert res.stop_reason.startswith("NumericalError: non-finite gamma")
+    assert res.samples.t.tobytes() == full.samples.t[:5].tobytes()
+    assert res.samples.P.tobytes() == full.samples.P[:5].tobytes()
+
+
+# seeded runs and the SHA-256 of their CSV and JSON texts, as written when
+# record() still solved igm and ik_velocity again for every sample
+_SIM_TEXT_PINS = (
+    (
+        None, (0.01, -0.02, 0.61), (0.03, -0.02, 0.015), SimConfig(dt=1e-3, t_end=0.02),
+        "747e3a636c28e140013f919fb8344006651577c2d93b5c49b17d5bcc77f2642f",
+        "cc42eb02babd7f04cf34cf4ba901d9e7817de7b758742849af89dfef2eafef93",
+    ),
+    (
+        (0.0, 0.0, -0.2), (0.0, 0.0, 0.6), (-0.02, 0.01, 0.0), SimConfig(dt=1e-3, t_end=0.02, record_every=3),
+        "7bf09c0263e26dd0fd357f6e68e13b2a047107142408df82b2db09e1a63299be",
+        "78d259a925a729beb2f4baba8ed8b4a5acec3298d11c963db46a9aee82518eb2",
+    ),
+    (
+        None, (0.01, -0.02, 0.61), (0.03, -0.02, 0.015), SimConfig(dt=1e-3, t_end=0.02, integrator="euler"),
+        "299acfb3890ccfa25261eb2d9a499a010777c79ce7364ac929afe5947ad6d48c",
+        "20cfb9bc19bd55a0d448915c21f77006821aeef4b093d72d4bae91f197dadeb3",
+    ),
+)
+
+
+@pytest.mark.parametrize("gravity, p0, v0, cfg, csv_sha, json_sha", _SIM_TEXT_PINS)
+def test_recorded_rates_are_the_last_dynamics_solve(model, gravity, p0, v0, cfg, csv_sha, json_sha):
+    import hashlib
+
+    from orthoglide import format_trajectory_csv, format_trajectory_json, igm, ik_velocity
+
+    m = model if gravity is None else model_with_gravity(model, gravity)
+    traj = simulate(m, p0, v0, config=cfg).samples
+    for P, V, L, Ldot in zip(traj.P, traj.V, traj.L, traj.Ldot):
+        L_ref, chain_q = igm(m, P)
+        assert L.tobytes() == L_ref.tobytes()
+        assert Ldot.tobytes() == ik_velocity(m, chain_q, V)[0].tobytes()
+    assert hashlib.sha256(format_trajectory_csv(traj).encode()).hexdigest() == csv_sha
+    assert hashlib.sha256(format_trajectory_json(traj).encode()).hexdigest() == json_sha
+
+
+def test_rk4_step_solves_the_geometry_four_times(model, monkeypatch):
+    import importlib
+
+    calls = []
+    for module in ("orthoglide.robot_dynamics", "orthoglide.simulate"):
+        mod = importlib.import_module(module)
+        real = mod.igm
+        monkeypatch.setattr(mod, "igm", lambda m, p, real=real: calls.append(1) or real(m, p))
+    simulate(model, P_HOME, (0.01, 0.0, 0.0), config=SimConfig(dt=1e-3, t_end=0.005))
+    # the first sample's solve, then the four direct-dynamics solves per step
+    assert len(calls) == 1 + 4 * 5
+
+
+def _json_per_sample(samples):
+    """The JSON text built one sample at a time: the reference layout."""
+    data = {
+        "samples": [
+            {
+                "t": s.t,
+                "P": list(map(float, s.P)),
+                "V": list(map(float, s.V)),
+                "A": list(map(float, s.A)),
+                "L": list(map(float, s.L)),
+                "Ldot": None if s.Ldot is None else list(map(float, s.Ldot)),
+                "Gamma": list(map(float, s.Gamma)),
+            }
+            for s in samples
+        ]
+    }
+    return json.dumps(data, indent=1) + "\n"
+
+
+def test_json_text_is_the_per_sample_text(model, tmp_path):
+    import orthoglide
+
+    res = simulate(model, P_HOME, (0.01, -0.02, 0.0), config=SimConfig(dt=1e-3, t_end=0.01))
+    traj = res.samples
+    write_trajectory_csv(traj, tmp_path / "run.csv")
+    rateless = read_trajectory_csv(tmp_path / "run.csv")
+    signed = Trajectory(-0.0 * traj.t, -traj.P, 0.0 * traj.V, -0.0 * traj.A, traj.L, -0.0 * traj.Ldot, traj.Gamma)
+    mixed = [rateless[0]] + traj[1:]
+    for samples in (traj, rateless, signed, list(traj), list(rateless), mixed, [], Trajectory([], [], [], [], [], None, [])):
+        assert orthoglide.format_trajectory_json(samples) == _json_per_sample(samples)
+    assert orthoglide.format_trajectory_csv(traj) == (tmp_path / "run.csv").read_text()

@@ -127,3 +127,25 @@ def test_sampled_points_stay_clear_of_singular_folds(model):
         for q in cq:
             assert abs(math.cos(q[2])) >= 0.2
             assert abs(math.sin(q[1])) >= 0.2
+
+
+def test_numpy_and_arithmetic_failures_record_inf(monkeypatch):
+    from orthoglide import verify
+
+    def singular(model, rng, n):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    def overflow(model, rng, n):
+        raise ZeroDivisionError("float division by zero")
+
+    broken = {"closure_gap": singular, "wrist_axis_fixed": overflow}
+    rows = tuple((name, count, tol, broken.get(name, fn)) for name, count, tol, fn in verify._CHECKS)
+    monkeypatch.setattr(verify, "_CHECKS", rows)
+    by_name = reports_by_name(
+        run_verification(default_model(), seed=7, n_samples=1, checks=("closure_gap", "wrist_axis_fixed", "isotropic_inverse"))
+    )
+    for name in broken:
+        rep = by_name[name]
+        assert math.isinf(rep.max_rel_err) and rep.samples == 0 and not rep.passed
+    # the rest of the battery still runs
+    assert by_name["isotropic_inverse"].passed
