@@ -7,8 +7,9 @@ plain floats with each body placed once and bit for bit the general
 sweep's efforts: tree_unit_efforts, the sweep at rest for several
 accelerations at once (the columns of the joint-space inertia), and
 tree_bias_efforts, the sweep at zero acceleration with no load (the
-velocity and gravity efforts). model.py packs each chain once into the two
-tables these functions read:
+velocity and gravity efforts). chain_kinetic, the velocity recursion for
+the kinetic energy, also runs on plain floats. model.py packs each chain
+once into the two tables these functions read:
 
   frames:  a tuple of nine rows, one per frame in tree order (frames
            1..9), each (parent, kind, cos gamma, sin gamma, cos alpha,
@@ -452,40 +453,43 @@ def tree_bias_efforts(frames, inertia, q, qd, g):
 
 
 def chain_kinetic(frames, inertia, q, qd):
-    """Kinetic energy of one chain tree via the velocity recursion."""
-    n = len(inertia)
-    w = np.zeros((n, 3))
-    v = np.zeros((n, 3))
+    """Kinetic energy of one chain tree via the velocity recursion.
+
+    Every quantity is a Python float and the inertia is read once. The root
+    body's parent rates are zero, so its rotated rates are left out; that
+    can flip only the sign of a zero, and no nonzero value or the energy (a
+    sum begun at +0.0) depends on such a sign.
+    """
+    w = []
+    v = []
     T = 0.0
-    for j in range(n):
-        row = frames[j]
+    for row, qj, qdj, body in zip(frames, q, qd, inertia.tolist()):
         p = row[0]
         kind = row[1]
-        r00, r01, r02, r10, r11, r12, r20, r21, r22, px, py, pz = place(row, q[j])
         if p < 0:
-            wix = wiy = wiz = 0.0
-            svx = svy = svz = 0.0
+            wjx = wjy = wjz = 0.0
+            vjx = vjy = vjz = 0.0
         else:
+            r00, r01, r02, r10, r11, r12, r20, r21, r22, px, py, pz = place(row, qj)
             wix, wiy, wiz = w[p]
             vpx, vpy, vpz = v[p]
             svx = vpx + wiy * pz - wiz * py
             svy = vpy + wiz * px - wix * pz
             svz = vpz + wix * py - wiy * px
-
-        wjx = r00 * wix + r10 * wiy + r20 * wiz
-        wjy = r01 * wix + r11 * wiy + r21 * wiz
-        wjz = r02 * wix + r12 * wiy + r22 * wiz
-        vjx = r00 * svx + r10 * svy + r20 * svz
-        vjy = r01 * svx + r11 * svy + r21 * svz
-        vjz = r02 * svx + r12 * svy + r22 * svz
+            wjx = r00 * wix + r10 * wiy + r20 * wiz
+            wjy = r01 * wix + r11 * wiy + r21 * wiz
+            wjz = r02 * wix + r12 * wiy + r22 * wiz
+            vjx = r00 * svx + r10 * svy + r20 * svz
+            vjy = r01 * svx + r11 * svy + r21 * svz
+            vjz = r02 * svx + r12 * svy + r22 * svz
         if kind == REVOLUTE:
-            wjz += qd[j]
+            wjz += qdj
         elif kind == PRISMATIC:
-            vjz += qd[j]
-        w[j] = (wjx, wjy, wjz)
-        v[j] = (vjx, vjy, vjz)
+            vjz += qdj
+        w.append((wjx, wjy, wjz))
+        v.append((vjx, vjy, vjz))
 
-        M, msx, msy, msz, J00, J01, J02, J10, J11, J12, J20, J21, J22 = inertia[j]
+        M, msx, msy, msz, J00, J01, J02, J10, J11, J12, J20, J21, J22 = body
         Jwx = J00 * wjx + J01 * wjy + J02 * wjz
         Jwy = J10 * wjx + J11 * wjy + J12 * wjz
         Jwz = J20 * wjx + J21 * wjy + J22 * wjz

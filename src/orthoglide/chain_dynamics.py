@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import NumericalError
+from .errors import NumericalError, require_finite
 from .model import TREE_ROWS, closure_positions, closure_rates, tree_slots
 
 # Tree coordinate order: frames 1, 2, 3, 4, 5, 7.
@@ -94,9 +94,24 @@ def tree_newton_euler(model, i, ts: TreeState, gravity=None, f_ext=None):
     return np.array(_sweep(model, i, tree_slots(ts.q), tree_slots(ts.qd), tree_slots(ts.qdd), gravity, f_ext))
 
 
+def _finite_closure(expand, name, v):
+    """expand(v) for closure_positions or closure_rates; NumericalError names a non-finite v."""
+    slots = expand(v)
+    require_finite(name, list(slots[:3]))
+    return slots
+
+
 def chain_torques_H(model, i, q, qd, qdd, gravity=None, f_ext=None):
     """Efforts at the three free joints of chain i (inverse dynamics)."""
-    gam = _sweep(model, i, closure_positions(q), closure_rates(qd), closure_rates(qdd), gravity, f_ext)
+    gam = _sweep(
+        model,
+        i,
+        _finite_closure(closure_positions, "q", q),
+        _finite_closure(closure_rates, "qd", qd),
+        _finite_closure(closure_rates, "qdd", qdd),
+        gravity,
+        f_ext,
+    )
     return _reduce3(gam)
 
 
@@ -133,7 +148,11 @@ def chain_bias_h(model, i, q, qd, gravity=None):
     """
     pack = model._packs[i]
     gam = _kernels.tree_bias_efforts(
-        pack.frames, pack.inertia, closure_positions(q), closure_rates(qd), _gravity(model, gravity)
+        pack.frames,
+        pack.inertia,
+        _finite_closure(closure_positions, "q", q),
+        _finite_closure(closure_rates, "qd", qd),
+        _gravity(model, gravity),
     )
     return _reduce3(gam)
 
@@ -141,7 +160,9 @@ def chain_bias_h(model, i, q, qd, gravity=None):
 def chain_kinetic_energy(model, i, q, qd) -> float:
     """Kinetic energy of chain i at free-coordinate state (q, qd)."""
     pack = model._packs[i]
-    return float(_kernels.chain_kinetic(pack.frames, pack.inertia, closure_positions(q), closure_rates(qd)))
+    return _kernels.chain_kinetic(
+        pack.frames, pack.inertia, _finite_closure(closure_positions, "q", q), _finite_closure(closure_rates, "qd", qd)
+    )
 
 
 def chain_reaction_force(model, i, q, qd, qdd, gamma_1) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class OrthoglideError(Exception):
     """Base class for every error raised by this package."""
@@ -43,3 +45,9 @@ class ChainSingular(OrthoglideError):
 
 class NumericalError(OrthoglideError):
     """A numerical sanity guard tripped (symmetry defect, conditioning)."""
+
+
+def require_finite(name, values):
+    """Raise NumericalError naming values, a list of floats, if one is not finite."""
+    if not all(map(math.isfinite, values)):
+        raise NumericalError("non-finite %s %r" % (name, values))

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import _kernels
-from .errors import ChainSingular, OutOfWorkspace
+from .errors import ChainSingular, OutOfWorkspace, require_finite
 from .model import closure_positions
 
 _HALF_PI = math.pi / 2.0
@@ -27,16 +27,19 @@ def igm(model, p):
     chain_q is (3, 3) with row i holding (q1, q2, q3) of chain i. Raises
     OutOfWorkspace when any chain cannot reach p.
     """
-    p = np.asarray(p, dtype=float).reshape(3)
+    px, py, pz = np.asarray(p, dtype=float).reshape(3).tolist()
     L = np.empty(3)
     chain_q = np.empty((3, 3))
     for i in range(3):
         pack = model._packs[i]
-        rel = p - pack.anchor
-        R = pack.R_base
-        ux = R[0, 0] * rel[0] + R[1, 0] * rel[1] + R[2, 0] * rel[2]
-        uy = R[0, 1] * rel[0] + R[1, 1] * rel[1] + R[2, 1] * rel[2]
-        uz = R[0, 2] * rel[0] + R[1, 2] * rel[1] + R[2, 2] * rel[2]
+        ax, ay, az = pack.anchor.tolist()
+        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = pack.R_base.tolist()
+        rx = px - ax
+        ry = py - ay
+        rz = pz - az
+        ux = r00 * rx + r10 * ry + r20 * rz
+        uy = r01 * rx + r11 * ry + r21 * rz
+        uz = r02 * rx + r12 * ry + r22 * rz
         d4 = pack.d4
         arg1 = -uy / d4
         if not (-_ASIN_EDGE <= arg1 <= _ASIN_EDGE):
@@ -50,9 +53,7 @@ def igm(model, p):
         q2 = -(u2 + _HALF_PI)
         q1 = uz - pack.d6 - d4 * c3 * math.cos(u2)
         L[i] = q1
-        chain_q[i, 0] = q1
-        chain_q[i, 1] = q2
-        chain_q[i, 2] = q3
+        chain_q[i] = q1, q2, q3
     return L, chain_q
 
 
@@ -157,6 +158,8 @@ def ik_velocity(model, chain_q, v_p):
     """
     chain_q = np.asarray(chain_q, dtype=float).reshape(3, 3)
     v_p = np.asarray(v_p, dtype=float).reshape(3)
+    require_finite("chain_q", chain_q.ravel().tolist())
+    require_finite("v_p", v_p.tolist())
     Ldot = np.empty(3)
     chain_qd = np.empty((3, 3))
     for i in range(3):

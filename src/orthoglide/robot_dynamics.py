@@ -8,12 +8,10 @@ dynamics ends with one 3x3 linear solve; direct dynamics with another.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .chain_dynamics import chain_bias_h, chain_inertia_A, chain_torques_H
-from .errors import NumericalError
+from .errors import NumericalError, require_finite
 from .kinematics import chain_jacobian_dot, chain_jacobian_inverse, igm
 
 _EYE3 = np.eye(3)
@@ -25,8 +23,7 @@ def _finite_vectors(**vectors):
     out = []
     for name, value in vectors.items():
         v = np.asarray(value, dtype=float).reshape(3)
-        if not all(map(math.isfinite, v.tolist())):
-            raise NumericalError("non-finite %s %r" % (name, v.tolist()))
+        require_finite(name, v.tolist())
         out.append(v)
     return out
 

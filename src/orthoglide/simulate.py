@@ -313,22 +313,37 @@ def read_trajectory_csv(path) -> Trajectory:
     )
 
 
+# json.dumps(..., indent=1) of {"samples": [...]}, written out: one %r per
+# float (json writes floats with their repr), the rates as a vector or null
+_JSON_VECTOR = "[\n    %r,\n    %r,\n    %r\n   ]"
+_JSON_SAMPLE = (
+    '  {\n   "t": %r,\n   "P": ' + _JSON_VECTOR + ',\n   "V": ' + _JSON_VECTOR + ',\n   "A": ' + _JSON_VECTOR
+    + ',\n   "L": ' + _JSON_VECTOR + ',\n   "Ldot": %s,\n   "Gamma": ' + _JSON_VECTOR + "\n  }"
+)
+
+
 def format_trajectory_json(samples) -> str:
-    """JSON text of the samples, as write_trajectory_json stores it."""
+    """JSON text of the samples, as write_trajectory_json stores it.
+
+    The text is json.dumps(..., indent=1) of {"samples": [...]} plus a
+    newline, written without the pure-Python encoder that indent selects.
+    """
     if isinstance(samples, Trajectory):
-        rates = [None] * len(samples) if samples.Ldot is None else samples.Ldot.tolist()
+        rows = samples._data.tolist()
     else:
         # a plain sequence may carry rates on some samples only
-        rates = [None if s.Ldot is None else np.asarray(s.Ldot, dtype=float).reshape(3).tolist() for s in samples]
-        samples = _rateless_columns(samples)
-    t, P, V, A, L, Gamma = (getattr(samples, name).tolist() for name in ("t", "P", "V", "A", "L", "Gamma"))
-    data = {
-        "samples": [
-            {"t": ti, "P": pi, "V": vi, "A": ai, "L": li, "Ldot": ri, "Gamma": gi}
-            for ti, pi, vi, ai, li, ri, gi in zip(t, P, V, A, L, rates, Gamma)
-        ]
-    }
-    return json.dumps(data, indent=1) + "\n"
+        rates = [[] if s.Ldot is None else np.asarray(s.Ldot, dtype=float).reshape(3).tolist() for s in samples]
+        rows = [row + r for row, r in zip(_rateless_columns(samples)._data.tolist(), rates)]
+    if not rows:
+        return '{\n "samples": []\n}\n'
+    text = ",\n".join(
+        _JSON_SAMPLE % (*row[:13], _JSON_VECTOR % tuple(row[16:]) if len(row) == 19 else "null", *row[13:16])
+        for row in rows
+    )
+    # repr spells the non-finite floats nan, inf and -inf, json NaN, Infinity
+    # and -Infinity; no key and no null contains either spelling
+    text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return '{\n "samples": [\n' + text + "\n ]\n}\n"
 
 
 def write_trajectory_json(samples, path) -> None:

@@ -15,8 +15,9 @@ the [verify] section of a model config or by the tolerances argument.
 from __future__ import annotations
 
 import math
+import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,8 +46,9 @@ from .kinematics import (
     parallelogram_gap,
     robot_jacobian_inverse,
 )
-from .model import TREE_ROWS, model_with_gravity, tree_slots
+from .model import TREE_ROWS, closure_positions, model_with_gravity, tree_slots
 from .robot_dynamics import (
+    _finite_vectors,
     assemble_robot_dyn,
     direct_dynamics,
     inverse_dynamics,
@@ -67,44 +69,74 @@ def _tree_frames(model, i, q6):
     return np.reshape(R, (7, 3, 3)), np.array(O)
 
 
+def _slots_potential(model, i, slots) -> float:
+    """Gravity potential of chain i's 7-body tree at per-frame joint values slots."""
+    pack = model._packs[i]
+    R, O = _kernels.chain_frames(pack.frames, slots)
+    gx, gy, gz = model.gravity.tolist()
+    U = 0.0
+    for (M, mx, my, mz), (r00, r01, r02, r10, r11, r12, r20, r21, r22), (ox, oy, oz) in zip(
+        pack.inertia[:, :4].tolist(), R, O
+    ):
+        U -= (
+            gx * (M * ox + (r00 * mx + r01 * my + r02 * mz))
+            + gy * (M * oy + (r10 * mx + r11 * my + r12 * mz))
+            + gz * (M * oz + (r20 * mx + r21 * my + r22 * mz))
+        )
+    return U
+
+
 def _tree_potential(model, i, q6) -> float:
     """Gravity potential of the free 7-body tree of chain i."""
-    R, O = _tree_frames(model, i, q6)
-    g = model.gravity
-    U = 0.0
-    for b, link in enumerate(model.chains[i].links):
-        U -= g @ (link.mass * O[b] + R[b] @ link.first_moment)
-    return float(U)
+    return _slots_potential(model, i, tree_slots(q6))
 
 
 def chain_potential_energy(model, i, q) -> float:
     """Gravity potential of chain i at free coordinates q = (q1, q2, q3)."""
-    return _tree_potential(model, i, closure_expand(q).q)
+    (q,) = _finite_vectors(q=q)
+    return _slots_potential(model, i, closure_positions(q)[:7])
+
+
+def _potential_at(model, p, chain_q) -> float:
+    """Gravity potential of the whole robot at point p, its chain angles given."""
+    U = -model.platform_mass * float(model.gravity @ p)
+    for i in range(3):
+        U += _slots_potential(model, i, closure_positions(chain_q[i])[:7])
+    return U
+
+
+def _kinetic_at(model, at, v) -> float:
+    """Kinetic energy at platform velocity v; at is the point's _geometry."""
+    chain_q, jinvs = at
+    T = 0.5 * model.platform_mass * float(v @ v)
+    for i in range(3):
+        T += chain_kinetic_energy(model, i, chain_q[i], jinvs[i] @ v)
+    return T
+
+
+def _geometry(model, p):
+    """Chain angles and chain Jacobian inverses at platform point p."""
+    _, chain_q = igm(model, p)
+    return chain_q, [chain_jacobian_inverse(model, i, chain_q[i]) for i in range(3)]
 
 
 def potential_energy(model, p) -> float:
     """Gravity potential of the whole robot at platform point p."""
-    p = np.asarray(p, dtype=float).reshape(3)
-    _, chain_q = igm(model, p)
-    U = -model.platform_mass * float(model.gravity @ p)
-    for i in range(3):
-        U += chain_potential_energy(model, i, chain_q[i])
-    return U
+    (p,) = _finite_vectors(p=p)
+    return _potential_at(model, p, igm(model, p)[1])
 
 
 def kinetic_energy(model, p, v) -> float:
     """Kinetic energy of the whole robot at platform state (p, v)."""
-    v = np.asarray(v, dtype=float).reshape(3)
-    _, chain_q = igm(model, p)
-    _, chain_qd = ik_velocity(model, chain_q, v)
-    T = 0.5 * model.platform_mass * float(v @ v)
-    for i in range(3):
-        T += chain_kinetic_energy(model, i, chain_q[i], chain_qd[i])
-    return T
+    p, v = _finite_vectors(p=p, v=v)
+    return _kinetic_at(model, _geometry(model, p), v)
 
 
 def total_energy(model, p, v) -> float:
-    return kinetic_energy(model, p, v) + potential_energy(model, p)
+    """kinetic_energy plus potential_energy, the geometry solved once."""
+    p, v = _finite_vectors(p=p, v=v)
+    at = _geometry(model, p)
+    return _kinetic_at(model, at, v) + _potential_at(model, p, at[0])
 
 
 # ---------------------------------------------------------------------------
@@ -118,21 +150,21 @@ def lagrangian_idm_oracle(model, p, v, vdot) -> np.ndarray:
     maps the resulting platform force to the actuators. Shares no dynamics
     code with the recursive implementation; good to about 1e-7 relative.
     The velocity gradient uses a large step because T is exactly quadratic
-    in V, which keeps roundoff out of the outer time derivative.
+    in V, which keeps roundoff out of the outer time derivative. The
+    geometry of each point is solved once for all the energies taken there.
     """
-    p = np.asarray(p, dtype=float).reshape(3)
-    v = np.asarray(v, dtype=float).reshape(3)
-    vdot = np.asarray(vdot, dtype=float).reshape(3)
+    p, v, vdot = _finite_vectors(p=p, v=v, vdot=vdot)
     h_v = 0.1
     h_t = 1e-6
     h_p = 1e-6
 
     def dT_dV(pp, vv):
+        at = _geometry(model, pp)
         out = np.empty(3)
         for k in range(3):
             e = np.zeros(3)
             e[k] = h_v
-            out[k] = (kinetic_energy(model, pp, vv + e) - kinetic_energy(model, pp, vv - e)) / (2.0 * h_v)
+            out[k] = (_kinetic_at(model, at, vv + e) - _kinetic_at(model, at, vv - e)) / (2.0 * h_v)
         return out
 
     p_plus = p + h_t * v + 0.5 * h_t * h_t * vdot
@@ -146,8 +178,10 @@ def lagrangian_idm_oracle(model, p, v, vdot) -> np.ndarray:
     for k in range(3):
         e = np.zeros(3)
         e[k] = h_p
-        dT_dP[k] = (kinetic_energy(model, p + e, v) - kinetic_energy(model, p - e, v)) / (2.0 * h_p)
-        dU_dP[k] = (potential_energy(model, p + e) - potential_energy(model, p - e)) / (2.0 * h_p)
+        at_plus = _geometry(model, p + e)
+        at_minus = _geometry(model, p - e)
+        dT_dP[k] = (_kinetic_at(model, at_plus, v) - _kinetic_at(model, at_minus, v)) / (2.0 * h_p)
+        dU_dP[k] = (_potential_at(model, p + e, at_plus[0]) - _potential_at(model, p - e, at_minus[0])) / (2.0 * h_p)
 
     f_cart = ddt_dT_dV - dT_dP + dU_dP
     _, chain_q = igm(model, p)
@@ -277,11 +311,14 @@ def _sample_tree_q(rng):
 
 @dataclass(frozen=True)
 class OracleReport:
+    """One check's outcome; wall_s is the seconds the check ran (not compared)."""
+
     check_name: str
     max_rel_err: float
     samples: int
     tolerance: float
     passed: bool
+    wall_s: float = field(default=0.0, compare=False)
 
     def as_dict(self):
         return {
@@ -290,6 +327,7 @@ class OracleReport:
             "samples": self.samples,
             "tolerance": self.tolerance,
             "pass": self.passed,
+            "wall_s": self.wall_s,
         }
 
 
@@ -685,7 +723,8 @@ def run_verification(model, seed=DEFAULT_SEED, n_samples=100, tolerances=None, c
     draws from its own seeded stream, so a subset run reproduces exactly
     what the full run sees. A check that raises a package error, a numpy
     linear-algebra error or an ArithmeticError records an infinite error
-    instead of aborting the battery.
+    instead of aborting the battery. Each report carries the check's wall
+    time.
     """
     tols = dict(TOLERANCES)
     for src in (model.verify_overrides, tolerances or {}):
@@ -705,12 +744,14 @@ def run_verification(model, seed=DEFAULT_SEED, n_samples=100, tolerances=None, c
     for name, count, _, fn in selected:
         n = max(1, int(round(count * n_samples / 100.0)))
         rng = np.random.default_rng([seed, zlib.crc32(name.encode("ascii"))])
+        t0 = time.perf_counter()
         try:
             err, used = fn(model, rng, n)
         except (OrthoglideError, np.linalg.LinAlgError, ArithmeticError):
             err, used = float("inf"), 0
+        wall_s = time.perf_counter() - t0
         tol = tols[name]
-        reports.append(OracleReport(name, float(err), int(used), float(tol), bool(err <= tol)))
+        reports.append(OracleReport(name, float(err), int(used), float(tol), bool(err <= tol), wall_s))
     return reports
 
 

@@ -21,6 +21,7 @@ from orthoglide import (
     model_with_gravity,
     tree_newton_euler,
 )
+from orthoglide import _kernels
 from orthoglide.chain_dynamics import _REST, _UNIT_ACCELERATIONS, _reduce3, _sweep
 from orthoglide.model import closure_positions, closure_rates
 from orthoglide.verify import _tree_potential
@@ -217,3 +218,107 @@ def test_bias_sweep_is_bitwise_the_full_sweep(model, rng, gravity):
             zeros += int(np.count_nonzero(h == 0.0))
     # exact-zero entries occur, so their signs are compared too
     assert zeros > 0
+
+
+def _kinetic_on_scratch_rows(frames, inertia, q, qd):
+    """The kinetic-energy recursion on numpy scratch rows and numpy scalars:
+    the reference for the plain-float kernel."""
+    n = len(inertia)
+    w = np.zeros((n, 3))
+    v = np.zeros((n, 3))
+    T = 0.0
+    for j in range(n):
+        row = frames[j]
+        p = row[0]
+        kind = row[1]
+        r00, r01, r02, r10, r11, r12, r20, r21, r22, px, py, pz = _kernels.place(row, q[j])
+        if p < 0:
+            wix = wiy = wiz = 0.0
+            svx = svy = svz = 0.0
+        else:
+            wix, wiy, wiz = w[p]
+            vpx, vpy, vpz = v[p]
+            svx = vpx + wiy * pz - wiz * py
+            svy = vpy + wiz * px - wix * pz
+            svz = vpz + wix * py - wiy * px
+        wjx = r00 * wix + r10 * wiy + r20 * wiz
+        wjy = r01 * wix + r11 * wiy + r21 * wiz
+        wjz = r02 * wix + r12 * wiy + r22 * wiz
+        vjx = r00 * svx + r10 * svy + r20 * svz
+        vjy = r01 * svx + r11 * svy + r21 * svz
+        vjz = r02 * svx + r12 * svy + r22 * svz
+        if kind == _kernels.REVOLUTE:
+            wjz += qd[j]
+        elif kind == _kernels.PRISMATIC:
+            vjz += qd[j]
+        w[j] = (wjx, wjy, wjz)
+        v[j] = (vjx, vjy, vjz)
+        M, msx, msy, msz, J00, J01, J02, J10, J11, J12, J20, J21, J22 = inertia[j]
+        Jwx = J00 * wjx + J01 * wjy + J02 * wjz
+        Jwy = J10 * wjx + J11 * wjy + J12 * wjz
+        Jwz = J20 * wjx + J21 * wjy + J22 * wjz
+        vwx = vjy * wjz - vjz * wjy
+        vwy = vjz * wjx - vjx * wjz
+        vwz = vjx * wjy - vjy * wjx
+        T += 0.5 * M * (vjx * vjx + vjy * vjy + vjz * vjz)
+        T += 0.5 * (wjx * Jwx + wjy * Jwy + wjz * Jwz)
+        T += msx * vwx + msy * vwy + msz * vwz
+    return T
+
+
+def _dense_inertia_model(model, rng):
+    """model with every link's first moment and inertia tensor fully
+    populated, so that each term of the energy sums is non-zero."""
+    chains = []
+    for chain in model.chains:
+        links = []
+        for link in chain.links:
+            B = rng.normal(0.0, 0.05, (3, 3))
+            ms = rng.normal(0.0, 0.05, 3)
+            links.append(dataclasses.replace(link, first_moment=ms, inertia=B @ B.T + 1e-3 * np.eye(3)))
+        chains.append(dataclasses.replace(chain, links=tuple(links)))
+    return dataclasses.replace(model, chains=tuple(chains))
+
+
+def test_kinetic_kernel_is_bitwise_the_scratch_row_version(model, rng):
+    states = _inertia_states(rng)
+    rates = _rate_states(rng, len(states))
+    for k in range(0, len(rates), 7):
+        # exact +-pi/2 rates as well
+        rates[k][rng.integers(0, 3)] = (HALF_PI, -HALF_PI)[rng.integers(0, 2)]
+    rates[-1] = np.zeros(3)
+    assert len(states) >= 500
+    zeros = 0
+    for m in (model, _dense_inertia_model(model, rng)):
+        for q, qd in zip(states, rates):
+            q9, qd9 = closure_positions(q), closure_rates(qd)
+            for i in range(3):
+                pack = m._packs[i]
+                T = chain_kinetic_energy(m, i, q, qd)
+                ref = _kinetic_on_scratch_rows(pack.frames, pack.inertia, q9, qd9)
+                assert type(T) is float
+                assert np.float64(T).tobytes() == np.float64(ref).tobytes(), (i, q, qd)
+                zeros += T == 0.0
+    # zero energies occur, so their signs are compared too
+    assert zeros > 0
+
+
+@pytest.mark.parametrize("bad", (float("nan"), float("inf"), -float("inf")))
+@pytest.mark.parametrize(
+    "fn, args, arg, name",
+    (
+        (chain_bias_h, 2, 0, "q"),
+        (chain_bias_h, 2, 1, "qd"),
+        (chain_torques_H, 3, 0, "q"),
+        (chain_torques_H, 3, 1, "qd"),
+        (chain_torques_H, 3, 2, "qdd"),
+        (chain_kinetic_energy, 2, 0, "q"),
+        (chain_kinetic_energy, 2, 1, "qd"),
+    ),
+)
+def test_non_finite_chain_state_is_numerical_error(model, fn, args, arg, name, bad):
+    state = [[0.0, -1.3, 0.3], [0.2, 0.1, -0.4], [1.0, -2.0, 0.5]][:args]
+    state[arg][2] = bad
+    with pytest.raises(NumericalError, match=r"non-finite %s \[" % name) as info:
+        fn(model, 1, *state)
+    assert repr(state[arg]) in str(info.value)

@@ -189,3 +189,15 @@ def test_simulate_out_into_missing_directory(tmp_path, capsys):
     ])
     assert rc == 1
     assert capsys.readouterr().err.startswith("ERROR:FileNotFoundError:")
+
+
+def test_verify_json_report_carries_wall_time(tmp_path, capsys):
+    rep = tmp_path / "report.json"
+    rc = main(["verify", "--samples", "5", "--checks", "closure_gap,isotropic_inverse", "--out", str(rep)])
+    assert rc == 0
+    data = json.loads(rep.read_text())
+    assert [d["check_name"] for d in data] == ["closure_gap", "isotropic_inverse"]
+    for d in data:
+        assert isinstance(d["wall_s"], float) and d["wall_s"] >= 0.0
+    # the table keeps its layout
+    assert "wall" not in capsys.readouterr().out

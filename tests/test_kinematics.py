@@ -5,6 +5,7 @@ import pytest
 
 from orthoglide import (
     ChainSingular,
+    NumericalError,
     OutOfWorkspace,
     chain_forward_point,
     chain_frames,
@@ -168,3 +169,75 @@ def test_isotropic_point_gives_axis_rows(model):
     _, cq = igm(model, (0.0, 0.0, 0.2))
     Jp_inv = robot_jacobian_inverse(model, cq)
     assert np.abs(Jp_inv - [[0, 0, 1], [1, 0, 0], [0, 1, 0]]).max() < 1e-12
+
+
+_ASIN_EDGE = 1.0 - 1e-12
+
+
+def _igm_numpy_elements(model, p):
+    """igm reading the base placement element by element from numpy: the
+    reference for the plain-float version."""
+    p = np.asarray(p, dtype=float).reshape(3)
+    L = np.empty(3)
+    chain_q = np.empty((3, 3))
+    for i in range(3):
+        pack = model._packs[i]
+        rel = p - pack.anchor
+        R = pack.R_base
+        ux = R[0, 0] * rel[0] + R[1, 0] * rel[1] + R[2, 0] * rel[2]
+        uy = R[0, 1] * rel[0] + R[1, 1] * rel[1] + R[2, 1] * rel[2]
+        uz = R[0, 2] * rel[0] + R[1, 2] * rel[1] + R[2, 2] * rel[2]
+        d4 = pack.d4
+        arg1 = -uy / d4
+        if not (-_ASIN_EDGE <= arg1 <= _ASIN_EDGE):
+            raise OutOfWorkspace(i + 1, 1, arg1)
+        q3 = math.asin(arg1)
+        c3 = math.cos(q3)
+        arg2 = -ux / (c3 * d4)
+        if not (-_ASIN_EDGE <= arg2 <= _ASIN_EDGE):
+            raise OutOfWorkspace(i + 1, 2, arg2)
+        u2 = math.asin(arg2)
+        q2 = -(u2 + HALF_PI)
+        q1 = uz - pack.d6 - d4 * c3 * math.cos(u2)
+        L[i] = q1
+        chain_q[i, 0] = q1
+        chain_q[i, 1] = q2
+        chain_q[i, 2] = q3
+    return L, chain_q
+
+
+def _solve(fn, model, p):
+    try:
+        # a non-finite point makes inf * 0.0 in the numpy reference
+        with np.errstate(invalid="ignore"):
+            L, chain_q = fn(model, p)
+    except OutOfWorkspace as exc:
+        return "out", str(exc), exc.chain, exc.arcsine, np.float64(exc.argument).tobytes()
+    return "in", L.tobytes(), chain_q.tobytes(), L.shape, chain_q.shape
+
+
+def test_igm_is_bitwise_the_numpy_element_version(model, rng):
+    # a box around the home point reaching past the shell, points on the
+    # axes with exact (signed) zero coordinates, and non-finite points
+    home = np.array([0.0, 0.0, 0.6])
+    points = [home + rng.uniform(-0.4, 0.4, 3) * (0.3 if k % 2 else 1.0) for k in range(1000)]
+    for x in (0.0, -0.0, 0.1, -0.25):
+        points += [(x, 0.0, 0.6), (0.0, x, 0.6), (-0.0, -0.0, 0.6 + x)]
+    points += [(math.nan, 0.0, 0.6), (0.0, math.inf, 0.6), (0.0, 0.0, -math.inf)]
+    outcomes = {"in": 0, 1: 0, 2: 0}
+    for p in points:
+        got = _solve(igm, model, p)
+        assert got == _solve(_igm_numpy_elements, model, p), p
+        outcomes[got[3] if got[0] == "out" else "in"] += 1
+    # both arcsine exits and the reachable branch are exercised
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf))
+def test_non_finite_ik_velocity_input_is_numerical_error(model, bad):
+    _, chain_q = igm(model, (0.0, 0.0, 0.6))
+    with pytest.raises(NumericalError, match=r"non-finite v_p \[0.1, %s, 0.0\]" % bad):
+        ik_velocity(model, chain_q, (0.1, bad, 0.0))
+    chain_q[2, 1] = bad
+    with pytest.raises(NumericalError, match="non-finite chain_q"):
+        ik_velocity(model, chain_q, (0.1, 0.0, 0.0))

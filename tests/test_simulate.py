@@ -405,3 +405,20 @@ def test_json_text_is_the_per_sample_text(model, tmp_path):
     for samples in (traj, rateless, signed, list(traj), list(rateless), mixed, [], Trajectory([], [], [], [], [], None, [])):
         assert orthoglide.format_trajectory_json(samples) == _json_per_sample(samples)
     assert orthoglide.format_trajectory_csv(traj) == (tmp_path / "run.csv").read_text()
+
+
+def test_json_text_spells_non_finite_floats_as_json(model):
+    import orthoglide
+
+    traj = simulate(model, P_HOME, (0.01, 0.0, 0.0), config=SimConfig(dt=1e-3, t_end=0.004)).samples
+    n = len(traj)
+    odd = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1.5e300, -2.5e-7])
+    pick = np.arange(3 * n).reshape(n, 3) % len(odd)
+    strange = Trajectory(traj.t, odd[pick], odd[pick[::-1]], traj.A, -odd[pick], odd[(pick + 1) % len(odd)], traj.Gamma)
+    for samples in (strange, list(strange), [traj[0]] + list(strange)[1:]):
+        text = orthoglide.format_trajectory_json(samples)
+        assert text == _json_per_sample(samples)
+        assert "NaN" in text and "-Infinity" in text
+        back = json.loads(text)["samples"]
+        assert len(back) == n
+        np.testing.assert_array_equal([s["P"] for s in back[1:]], strange.P[1:])

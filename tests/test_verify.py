@@ -8,12 +8,23 @@ from orthoglide import (
     CHECK_NAMES,
     DEFAULT_CONFIG,
     NumericalError,
+    chain_kinetic_energy,
+    chain_potential_energy,
+    closure_expand,
     default_model,
     format_report_table,
+    igm,
+    ik_velocity,
+    kinetic_energy,
+    lagrangian_idm_oracle,
     load_model,
+    model_with_gravity,
+    potential_energy,
     reports_by_name,
+    robot_jacobian_inverse,
     run_verification,
 )
+from orthoglide import verify
 from orthoglide.verify import sample_platform_points
 
 SLOW = ("power_balance", "energy_drift_conservative", "tracking_error")
@@ -149,3 +160,125 @@ def test_numpy_and_arithmetic_failures_record_inf(monkeypatch):
         assert math.isinf(rep.max_rel_err) and rep.samples == 0 and not rep.passed
     # the rest of the battery still runs
     assert by_name["isotropic_inverse"].passed
+
+
+def _potential_numpy(model, p):
+    """potential_energy with per-body numpy products on the frames' arrays:
+    the reference for the plain-float sums."""
+    _, chain_q = igm(model, p)
+    U = -model.platform_mass * float(model.gravity @ np.asarray(p, dtype=float))
+    for i in range(3):
+        R, O = verify._tree_frames(model, i, closure_expand(chain_q[i]).q)
+        Ui = 0.0
+        for b, link in enumerate(model.chains[i].links):
+            Ui -= model.gravity @ (link.mass * O[b] + R[b] @ link.first_moment)
+        U += float(Ui)
+    return U
+
+
+def _potential_scale(model, p):
+    """Sum of the magnitudes of the terms the potential adds up."""
+    _, chain_q = igm(model, p)
+    g = np.abs(model.gravity)
+    scale = model.platform_mass * float(g @ np.abs(p))
+    for i in range(3):
+        R, O = verify._tree_frames(model, i, closure_expand(chain_q[i]).q)
+        for b, link in enumerate(model.chains[i].links):
+            scale += float(g @ (np.abs(link.mass * O[b]) + np.abs(R[b]) @ np.abs(link.first_moment)))
+    return scale
+
+
+def _kinetic_per_call(model, p, v):
+    """kinetic_energy solving igm and ik_velocity on every call."""
+    v = np.asarray(v, dtype=float).reshape(3)
+    _, chain_q = igm(model, p)
+    _, chain_qd = ik_velocity(model, chain_q, v)
+    T = 0.5 * model.platform_mass * float(v @ v)
+    for i in range(3):
+        T += chain_kinetic_energy(model, i, chain_q[i], chain_qd[i])
+    return T
+
+
+def _lagrangian_per_call(model, p, v, vdot):
+    """lagrangian_idm_oracle solving the geometry for every energy it takes:
+    the reference for the oracle that solves each point once."""
+    p = np.asarray(p, dtype=float).reshape(3)
+    v = np.asarray(v, dtype=float).reshape(3)
+    vdot = np.asarray(vdot, dtype=float).reshape(3)
+    h_v, h_t, h_p = 0.1, 1e-6, 1e-6
+
+    def dT_dV(pp, vv):
+        out = np.empty(3)
+        for k in range(3):
+            e = np.zeros(3)
+            e[k] = h_v
+            out[k] = (_kinetic_per_call(model, pp, vv + e) - _kinetic_per_call(model, pp, vv - e)) / (2.0 * h_v)
+        return out
+
+    p_plus = p + h_t * v + 0.5 * h_t * h_t * vdot
+    p_minus = p - h_t * v + 0.5 * h_t * h_t * vdot
+    ddt_dT_dV = (dT_dV(p_plus, v + h_t * vdot) - dT_dV(p_minus, v - h_t * vdot)) / (2.0 * h_t)
+    dT_dP = np.empty(3)
+    dU_dP = np.empty(3)
+    for k in range(3):
+        e = np.zeros(3)
+        e[k] = h_p
+        dT_dP[k] = (_kinetic_per_call(model, p + e, v) - _kinetic_per_call(model, p - e, v)) / (2.0 * h_p)
+        dU_dP[k] = (_potential_numpy(model, p + e) - _potential_numpy(model, p - e)) / (2.0 * h_p)
+    _, chain_q = igm(model, p)
+    return np.linalg.solve(robot_jacobian_inverse(model, chain_q).T, ddt_dT_dV - dT_dP + dU_dP)
+
+
+def test_energies_match_the_per_call_numpy_versions(model):
+    rng = np.random.default_rng(5)
+    tilted = model_with_gravity(model, (1.3, -2.1, -9.0))
+    for _ in range(200):
+        p, v, _ = verify._sample_state(model, rng)
+        assert np.float64(kinetic_energy(model, p, v)).tobytes() == np.float64(_kinetic_per_call(model, p, v)).tobytes()
+        # gravity along one axis leaves one product per sum: the same bits
+        assert potential_energy(model, p) == _potential_numpy(model, p)
+        # otherwise numpy's sums may round differently from the left-to-right
+        # ones, by a few units in the last place of the terms they add
+        U = potential_energy(tilted, p)
+        assert abs(U - _potential_numpy(tilted, p)) <= 1e-15 * _potential_scale(tilted, p), p
+
+
+def test_lagrangian_oracle_is_bitwise_the_per_call_version(model):
+    rng = np.random.default_rng(11)
+    for _ in range(12):
+        p, v, a = verify._sample_state(model, rng)
+        assert lagrangian_idm_oracle(model, p, v, a).tobytes() == _lagrangian_per_call(model, p, v, a).tobytes()
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf))
+@pytest.mark.parametrize(
+    "fn, args, arg, name",
+    (
+        ("potential_energy", 1, 0, "p"),
+        ("kinetic_energy", 2, 0, "p"),
+        ("kinetic_energy", 2, 1, "v"),
+        ("total_energy", 2, 0, "p"),
+        ("total_energy", 2, 1, "v"),
+        ("lagrangian_idm_oracle", 3, 0, "p"),
+        ("lagrangian_idm_oracle", 3, 1, "v"),
+        ("lagrangian_idm_oracle", 3, 2, "vdot"),
+    ),
+)
+def test_non_finite_energy_input_is_numerical_error(model, fn, args, arg, name, bad):
+    state = [[0.0, 0.0, 0.6], [0.1, 0.0, 0.0], [0.5, 0.0, 0.0]][:args]
+    state[arg][1] = bad
+    with pytest.raises(NumericalError, match=r"non-finite %s \[" % name):
+        getattr(verify, fn)(model, *state)
+
+
+def test_non_finite_chain_potential_input_is_numerical_error(model):
+    with pytest.raises(NumericalError, match=r"non-finite q \[0.0, nan, 0.3\]"):
+        chain_potential_energy(model, 0, (0.0, math.nan, 0.3))
+
+
+def test_reports_carry_their_wall_time(fast_reports):
+    for rep in fast_reports:
+        assert math.isfinite(rep.wall_s) and rep.wall_s >= 0.0
+        assert rep.as_dict()["wall_s"] == rep.wall_s
+    # the wall time is not part of a report's value
+    assert fast_reports[0] == dataclasses.replace(fast_reports[0], wall_s=fast_reports[0].wall_s + 1.0)
