@@ -2,14 +2,14 @@
 
 Plain Python, one scalar operation at a time. tree_newton_euler is the
 general sweep (rates, accelerations, gravity, platform load); inverse
-dynamics runs it. Direct dynamics runs two special cases of it, each on
-plain floats with each body placed once and bit for bit the general
-sweep's efforts: tree_unit_efforts, the sweep at rest for several
-accelerations at once (the columns of the joint-space inertia), and
-tree_bias_efforts, the sweep at zero acceleration with no load (the
-velocity and gravity efforts). chain_kinetic, the velocity recursion for
-the kinetic energy, also runs on plain floats. model.py packs each chain
-once into the two tables these functions read:
+dynamics runs it. Direct dynamics runs tree_direct_efforts, one sweep on
+plain floats that places each body once and carries four special cases
+of it together, bit for bit the general sweep's efforts: the sweep at
+zero acceleration with no load (the velocity and gravity efforts) and the
+sweep at rest for each of the three unit accelerations (the columns of
+the joint-space inertia). chain_kinetic, the velocity recursion for the
+kinetic energy, also runs on plain floats. model.py packs each chain once
+into the two tables these functions read:
 
   frames:  a tuple of nine rows, one per frame in tree order (frames
            1..9), each (parent, kind, cos gamma, sin gamma, cos alpha,
@@ -258,121 +258,39 @@ def tree_newton_euler(frames, inertia, q, qd, qdd, g, fext):
     return gam
 
 
-def tree_unit_efforts(frames, inertia, q, units):
-    """tree_newton_euler at rest for several accelerations at one q.
+def tree_direct_efforts(frames, inertia, q, qd, g, units):
+    """The efforts direct dynamics needs, from one sweep over one chain tree.
 
-    Rest means zero rates, zero gravity and no platform load. Each body is
-    placed once and the placement serves every per-frame acceleration
-    vector in units. Returns one effort list per vector, laid out as
-    tree_newton_euler's, and bit for bit the efforts it returns: at rest
-    the angular velocities, gravity and the load are signed zeros, so the
-    terms they enter are left out and the remaining ones keep its
-    expressions and order. A left-out term can change only the sign of a
-    zero, and no effort is -0.0 in either sweep (each is a sum begun at
-    +0.0), so the efforts agree in every bit.
-    """
-    n = len(inertia)
-    rows = inertia.tolist()
-    bodies = [(row[0], row[1], place(row, qj)) for row, qj in zip(frames[:n], q)]
-    jointed = [j for j in range(n) if frames[j][1] != FIXED]
-    out = []
-    for qdd in units:
-        wd = []
-        a = []
-        for j in range(n):
-            p, kind, (r00, r01, r02, r10, r11, r12, r20, r21, r22, px, py, pz) = bodies[j]
-            if p < 0:
-                wdjx = wdjy = wdjz = 0.0
-                ajx = ajy = ajz = 0.0
-            else:
-                wdix, wdiy, wdiz = wd[p]
-                aix, aiy, aiz = a[p]
-                # e = wdi x pl
-                ex = wdiy * pz - wdiz * py
-                ey = wdiz * px - wdix * pz
-                ez = wdix * py - wdiy * px
-                sax = aix + ex
-                say = aiy + ey
-                saz = aiz + ez
-                wdjx = r00 * wdix + r10 * wdiy + r20 * wdiz
-                wdjy = r01 * wdix + r11 * wdiy + r21 * wdiz
-                wdjz = r02 * wdix + r12 * wdiy + r22 * wdiz
-                ajx = r00 * sax + r10 * say + r20 * saz
-                ajy = r01 * sax + r11 * say + r21 * saz
-                ajz = r02 * sax + r12 * say + r22 * saz
-            if kind == REVOLUTE:
-                wdjz += qdd[j]
-            elif kind == PRISMATIC:
-                ajz += qdd[j]
-            wd.append((wdjx, wdjy, wdjz))
-            a.append((ajx, ajy, ajz))
+    Each body is placed once and its inertia row read once for four lanes:
+    the bias lane, tree_newton_euler at zero joint accelerations with no
+    load (velocity and gravity efforts), and one rest lane per vector in
+    units, tree_newton_euler at that acceleration with zero rates, gravity
+    and load (a column of the joint-space inertia). Returns (bias efforts,
+    [rest-lane efforts]), laid out as tree_newton_euler's. Row 0 must be
+    the root and a slider, as model.py wires every chain.
 
-        fx = [0.0] * n
-        fy = [0.0] * n
-        fz = [0.0] * n
-        nx = [0.0] * n
-        ny = [0.0] * n
-        nz = [0.0] * n
-        for j in range(n - 1, -1, -1):
-            M, msx, msy, msz, J00, J01, J02, J10, J11, J12, J20, J21, J22 = rows[j]
-            wdx, wdy, wdz = wd[j]
-            ax, ay, az = a[j]
-            # F = M a + wd x ms
-            Fx = M * ax + (wdy * msz - wdz * msy)
-            Fy = M * ay + (wdz * msx - wdx * msz)
-            Fz = M * az + (wdx * msy - wdy * msx)
-            # N = J wd + ms x a
-            Nx = J00 * wdx + J01 * wdy + J02 * wdz + msy * az - msz * ay
-            Ny = J10 * wdx + J11 * wdy + J12 * wdz + msz * ax - msx * az
-            Nz = J20 * wdx + J21 * wdy + J22 * wdz + msx * ay - msy * ax
-            fjx = fx[j] + Fx
-            fjy = fy[j] + Fy
-            fjz = fz[j] = fz[j] + Fz
-            njx = nx[j] + Nx
-            njy = ny[j] + Ny
-            njz = nz[j] = nz[j] + Nz
-            p, _, L = bodies[j]
-            if p >= 0:
-                ffx = L[0] * fjx + L[1] * fjy + L[2] * fjz
-                ffy = L[3] * fjx + L[4] * fjy + L[5] * fjz
-                ffz = L[6] * fjx + L[7] * fjy + L[8] * fjz
-                fx[p] += ffx
-                fy[p] += ffy
-                fz[p] += ffz
-                nx[p] += L[0] * njx + L[1] * njy + L[2] * njz + L[10] * ffz - L[11] * ffy
-                ny[p] += L[3] * njx + L[4] * njy + L[5] * njz + L[11] * ffx - L[9] * ffz
-                nz[p] += L[6] * njx + L[7] * njy + L[8] * njz + L[9] * ffy - L[10] * ffx
-        out.append([nz[j] if frames[j][1] == REVOLUTE else fz[j] for j in jointed])
-    return out
-
-
-def tree_bias_efforts(frames, inertia, q, qd, g):
-    """tree_newton_euler with zero joint accelerations and no platform load.
-
-    These are the velocity and gravity efforts. Each body is placed once and
-    every quantity is a Python float. The efforts are bit for bit those
-    tree_newton_euler returns: the joint accelerations, the load and the
-    rates of the world frame are signed zeros, so the terms they enter are
-    left out, as are the world rotations that only the load needs; the
-    remaining terms keep its expressions and order. A left-out term can
+    Each lane keeps tree_newton_euler's expressions and order on floats and
+    leaves out only terms that are exact signed zeros: what zero rates,
+    accelerations, gravity or load enter, and the root's moments and
+    sideways force, which no effort reads. In a rest lane None marks a body
+    whose angular or whole acceleration is zero, as no joint up to it moves
+    (the slider's column has no angular terms at all). A left-out term can
     change only the sign of a zero, and no effort is -0.0 in either sweep
-    (each is a sum begun at +0.0), so the efforts agree in every bit.
+    (each is a sum begun at +0.0), so the efforts agree bit for bit.
     """
     n = len(inertia)
     rows = inertia.tolist()
     bodies = [(row[0], row[1], place(row, qj)) for row, qj in zip(frames[:n], q)]
     gx, gy, gz = map(float, g)
-    w = []
-    wd = []
-    a = []
+    w, wd, a = [], [], []
+    lanes = [([None] * n, [None] * n, u) for u in units]
     for j in range(n):
         p, kind, (r00, r01, r02, r10, r11, r12, r20, r21, r22, px, py, pz) = bodies[j]
-        if p < 0:
+        if p <= 0:
+            # the root and its children, whose parent's rates are zero
             wjx = wjy = wjz = 0.0
             wdjx = wdjy = wdjz = 0.0
-            sax = -gx
-            say = -gy
-            saz = -gz
+            sax, say, saz = a[0] if p == 0 else (-gx, -gy, -gz)
         else:
             wix, wiy, wiz = w[p]
             wdix, wdiy, wdiz = wd[p]
@@ -407,14 +325,50 @@ def tree_bias_efforts(frames, inertia, q, qd, g):
         wd.append((wdjx, wdjy, wdjz))
         a.append((ajx, ajy, ajz))
 
-    fx = [0.0] * n
-    fy = [0.0] * n
-    fz = [0.0] * n
-    nx = [0.0] * n
-    ny = [0.0] * n
-    nz = [0.0] * n
-    for j in range(n - 1, -1, -1):
+        for lwd, la, u in lanes:
+            wdj = sax = None
+            if p >= 0:
+                wdi = lwd[p]
+                ai = la[p]
+                if wdi is not None:
+                    wdix, wdiy, wdiz = wdi
+                    wdj = (
+                        r00 * wdix + r10 * wdiy + r20 * wdiz,
+                        r01 * wdix + r11 * wdiy + r21 * wdiz,
+                        r02 * wdix + r12 * wdiy + r22 * wdiz,
+                    )
+                    # e = wdi x pl
+                    sax = wdiy * pz - wdiz * py
+                    say = wdiz * px - wdix * pz
+                    saz = wdix * py - wdiy * px
+                    if ai is not None:
+                        sax = ai[0] + sax
+                        say = ai[1] + say
+                        saz = ai[2] + saz
+                elif ai is not None:
+                    sax, say, saz = ai
+            aj = None if sax is None else (
+                r00 * sax + r10 * say + r20 * saz,
+                r01 * sax + r11 * say + r21 * saz,
+                r02 * sax + r12 * say + r22 * saz,
+            )
+            uj = u[j]
+            if uj:
+                if kind == REVOLUTE:
+                    wdj = (0.0, 0.0, uj) if wdj is None else (wdj[0], wdj[1], wdj[2] + uj)
+                    if aj is None:
+                        aj = (0.0, 0.0, 0.0)
+                elif kind == PRISMATIC:
+                    aj = (0.0, 0.0, uj) if aj is None else (aj[0], aj[1], aj[2] + uj)
+            lwd[j] = wdj
+            la[j] = aj
+
+    # the force and moment sums: the bias lane's, then each rest lane's
+    fx, fy, fz, nx, ny, nz = [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n
+    sums = [(lwd, la, [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n, [0.0] * n) for lwd, la, _ in lanes]
+    for j in range(n - 1, 0, -1):
         M, msx, msy, msz, J00, J01, J02, J10, J11, J12, J20, J21, J22 = rows[j]
+        p, _, (r00, r01, r02, r10, r11, r12, r20, r21, r22, px, py, pz) = bodies[j]
         wx, wy, wz = w[j]
         wdx, wdy, wdz = wd[j]
         ax, ay, az = a[j]
@@ -422,34 +376,78 @@ def tree_bias_efforts(frames, inertia, q, qd, g):
         t2x = wy * msz - wz * msy
         t2y = wz * msx - wx * msz
         t2z = wx * msy - wy * msx
-        Fx = M * ax + (wdy * msz - wdz * msy) + (wy * t2z - wz * t2y)
-        Fy = M * ay + (wdz * msx - wdx * msz) + (wz * t2x - wx * t2z)
-        Fz = M * az + (wdx * msy - wdy * msx) + (wx * t2y - wy * t2x)
+        fjx = fx[j] + (M * ax + (wdy * msz - wdz * msy) + (wy * t2z - wz * t2y))
+        fjy = fy[j] + (M * ay + (wdz * msx - wdx * msz) + (wz * t2x - wx * t2z))
+        fjz = fz[j] = fz[j] + (M * az + (wdx * msy - wdy * msx) + (wx * t2y - wy * t2x))
         # N = J wd + w x (J w) + ms x a
         Jwx = J00 * wx + J01 * wy + J02 * wz
         Jwy = J10 * wx + J11 * wy + J12 * wz
         Jwz = J20 * wx + J21 * wy + J22 * wz
-        Nx = J00 * wdx + J01 * wdy + J02 * wdz + wy * Jwz - wz * Jwy + msy * az - msz * ay
-        Ny = J10 * wdx + J11 * wdy + J12 * wdz + wz * Jwx - wx * Jwz + msz * ax - msx * az
-        Nz = J20 * wdx + J21 * wdy + J22 * wdz + wx * Jwy - wy * Jwx + msx * ay - msy * ax
-        fjx = fx[j] + Fx
-        fjy = fy[j] + Fy
-        fjz = fz[j] = fz[j] + Fz
-        njx = nx[j] + Nx
-        njy = ny[j] + Ny
-        njz = nz[j] = nz[j] + Nz
-        p, _, L = bodies[j]
-        if p >= 0:
-            ffx = L[0] * fjx + L[1] * fjy + L[2] * fjz
-            ffy = L[3] * fjx + L[4] * fjy + L[5] * fjz
-            ffz = L[6] * fjx + L[7] * fjy + L[8] * fjz
+        njx = nx[j] + (J00 * wdx + J01 * wdy + J02 * wdz + wy * Jwz - wz * Jwy + msy * az - msz * ay)
+        njy = ny[j] + (J10 * wdx + J11 * wdy + J12 * wdz + wz * Jwx - wx * Jwz + msz * ax - msx * az)
+        njz = nz[j] = nz[j] + (J20 * wdx + J21 * wdy + J22 * wdz + wx * Jwy - wy * Jwx + msx * ay - msy * ax)
+        # into the parent's frame; the root takes only the force along its axis
+        ffz = r20 * fjx + r21 * fjy + r22 * fjz
+        fz[p] += ffz
+        if p:
+            ffx = r00 * fjx + r01 * fjy + r02 * fjz
+            ffy = r10 * fjx + r11 * fjy + r12 * fjz
             fx[p] += ffx
             fy[p] += ffy
-            fz[p] += ffz
-            nx[p] += L[0] * njx + L[1] * njy + L[2] * njz + L[10] * ffz - L[11] * ffy
-            ny[p] += L[3] * njx + L[4] * njy + L[5] * njz + L[11] * ffx - L[9] * ffz
-            nz[p] += L[6] * njx + L[7] * njy + L[8] * njz + L[9] * ffy - L[10] * ffx
-    return [nz[j] if kind == REVOLUTE else fz[j] for j, (_, kind, _) in enumerate(bodies) if kind != FIXED]
+            nx[p] += r00 * njx + r01 * njy + r02 * njz + py * ffz - pz * ffy
+            ny[p] += r10 * njx + r11 * njy + r12 * njz + pz * ffx - px * ffz
+            nz[p] += r20 * njx + r21 * njy + r22 * njz + px * ffy - py * ffx
+
+        for lwd, la, lfx, lfy, lfz, lnx, lny, lnz in sums:
+            fjx = lfx[j]
+            fjy = lfy[j]
+            fjz = lfz[j]
+            njx = lnx[j]
+            njy = lny[j]
+            njz = lnz[j]
+            aj = la[j]
+            if aj is not None:
+                ax, ay, az = aj
+                wdj = lwd[j]
+                if wdj is None:
+                    # F = M a, N = ms x a
+                    fjx += M * ax
+                    fjy += M * ay
+                    fjz = lfz[j] = fjz + M * az
+                    njx += msy * az - msz * ay
+                    njy += msz * ax - msx * az
+                    njz = lnz[j] = njz + (msx * ay - msy * ax)
+                else:
+                    # F = M a + wd x ms, N = J wd + ms x a
+                    wdx, wdy, wdz = wdj
+                    fjx += M * ax + (wdy * msz - wdz * msy)
+                    fjy += M * ay + (wdz * msx - wdx * msz)
+                    fjz = lfz[j] = fjz + (M * az + (wdx * msy - wdy * msx))
+                    njx += J00 * wdx + J01 * wdy + J02 * wdz + msy * az - msz * ay
+                    njy += J10 * wdx + J11 * wdy + J12 * wdz + msz * ax - msx * az
+                    njz = lnz[j] = njz + (J20 * wdx + J21 * wdy + J22 * wdz + msx * ay - msy * ax)
+            ffz = r20 * fjx + r21 * fjy + r22 * fjz
+            lfz[p] += ffz
+            if p:
+                ffx = r00 * fjx + r01 * fjy + r02 * fjz
+                ffy = r10 * fjx + r11 * fjy + r12 * fjz
+                lfx[p] += ffx
+                lfy[p] += ffy
+                lnx[p] += r00 * njx + r01 * njy + r02 * njz + py * ffz - pz * ffy
+                lny[p] += r10 * njx + r11 * njy + r12 * njz + pz * ffx - px * ffz
+                lnz[p] += r20 * njx + r21 * njy + r22 * njz + px * ffy - py * ffx
+
+    # the root's rates are zero in every lane: its effort is F = M a along the slider
+    M = rows[0][0]
+    fz[0] += M * a[0][2]
+    for _, la, _, _, lfz, _, _, _ in sums:
+        if la[0] is not None:
+            lfz[0] += M * la[0][2]
+    jointed = [(j, kind == REVOLUTE) for j, (_, kind, _) in enumerate(bodies) if kind != FIXED]
+    return (
+        [nz[j] if revolute else fz[j] for j, revolute in jointed],
+        [[lnz[j] if revolute else lfz[j] for j, revolute in jointed] for _, _, _, _, lfz, _, _, lnz in sums],
+    )
 
 
 def chain_kinetic(frames, inertia, q, qd):

@@ -69,9 +69,13 @@ def closure_expand(q, qd=None, qdd=None) -> TreeState:
     return TreeState(q=[slots[r] for r in TREE_ROWS], qd=G @ qd, qdd=G @ qdd)
 
 
-def _reduce3(gam):
+def _free_efforts(gam):
     # G_T @ gam written out
-    return np.array([gam[0], gam[1] - gam[4], gam[2] - gam[3] + gam[5]])
+    return gam[0], gam[1] - gam[4], gam[2] - gam[3] + gam[5]
+
+
+def _reduce3(gam):
+    return np.array(_free_efforts(gam))
 
 
 def _gravity(model, gravity):
@@ -115,46 +119,54 @@ def chain_torques_H(model, i, q, qd, qdd, gravity=None, f_ext=None):
     return _reduce3(gam)
 
 
+def _leg_sweep(model, i, q, qd, gravity, units):
+    """_kernels.tree_direct_efforts of chain i at free-coordinate state (q, qd)."""
+    pack = model._packs[i]
+    q9, qd9 = _finite_closure(closure_positions, "q", q), _finite_closure(closure_rates, "qd", qd)
+    return _kernels.tree_direct_efforts(pack.frames, pack.inertia, q9, qd9, _gravity(model, gravity), units)
+
+
+def _inertia(i, columns):
+    """The symmetrized inertia of chain i from its raw tree-effort columns, on floats."""
+    (a00, a10, a20), (a01, a11, a21), (a02, a12, a22) = map(_free_efforts, columns)
+    defect = max(abs(a01 - a10), abs(a02 - a20), abs(a12 - a21))
+    scale = max(1.0, abs(a00), abs(a01), abs(a02), abs(a10), abs(a11), abs(a12), abs(a20), abs(a21), abs(a22))
+    if defect > 1e-8 * scale:
+        raise NumericalError("chain %d inertia symmetry defect %.3g exceeds 1e-8" % (i + 1, defect / scale))
+    # 0.5 (A + A^T); on the diagonal that is A itself
+    s01 = 0.5 * (a01 + a10)
+    s02 = 0.5 * (a02 + a20)
+    s12 = 0.5 * (a12 + a21)
+    return np.array([[a00, s01, s02], [s01, a11, s12], [s02, s12, a22]])
+
+
 def chain_inertia_A(model, i, q):
     """3x3 joint-space inertia of chain i, column by column.
 
     Column k is the torque vector for a unit acceleration of joint k with
-    zero rates, zero gravity and no load. One rest sweep
-    (_kernels.tree_unit_efforts) places the tree once and computes the three
-    columns independently, each bit for bit the full Newton-Euler sweep's.
-    The raw columns must agree with their transpose to 1e-8 relative or a
-    NumericalError is raised; the returned matrix is the symmetrized version.
+    zero rates, zero gravity and no load: a rest lane of the fused sweep
+    (_kernels.tree_direct_efforts, run at rest), bit for bit the full
+    Newton-Euler sweep's. The raw columns must agree with their transpose
+    to 1e-8 relative or a NumericalError is raised; the returned matrix is
+    the symmetrized version.
     """
-    pack = model._packs[i]
-    columns = _kernels.tree_unit_efforts(pack.frames, pack.inertia, closure_positions(q), _UNIT_ACCELERATIONS)
-    A = np.empty((3, 3))
-    for k in range(3):
-        A[:, k] = _reduce3(columns[k])
-    defect = float(np.abs(A - A.T).max())
-    scale = max(1.0, float(np.abs(A).max()))
-    if defect > 1e-8 * scale:
-        raise NumericalError(
-            "chain %d inertia symmetry defect %.3g exceeds 1e-8" % (i + 1, defect / scale)
-        )
-    return 0.5 * (A + A.T)
+    return _inertia(i, _leg_sweep(model, i, q, _ZERO3, _ZERO3, _UNIT_ACCELERATIONS)[1])
 
 
 def chain_bias_h(model, i, q, qd, gravity=None):
     """Velocity and gravity torques of chain i (zero-acceleration efforts).
 
-    One bias sweep (_kernels.tree_bias_efforts) places the tree once and runs
-    on plain floats; its efforts are bit for bit the full Newton-Euler
-    sweep's at zero joint accelerations and no load.
+    The bias lane of the fused sweep (_kernels.tree_direct_efforts) run
+    alone, bit for bit the full Newton-Euler sweep's at zero joint
+    accelerations and no load.
     """
-    pack = model._packs[i]
-    gam = _kernels.tree_bias_efforts(
-        pack.frames,
-        pack.inertia,
-        _finite_closure(closure_positions, "q", q),
-        _finite_closure(closure_rates, "qd", qd),
-        _gravity(model, gravity),
-    )
-    return _reduce3(gam)
+    return _reduce3(_leg_sweep(model, i, q, qd, gravity, ())[0])
+
+
+def _leg_dynamics(model, i, q, qd):
+    """(chain_inertia_A, chain_bias_h) of chain i from one fused sweep, bit for bit."""
+    bias, columns = _leg_sweep(model, i, q, qd, None, _UNIT_ACCELERATIONS)
+    return _inertia(i, columns), _reduce3(bias)
 
 
 def chain_kinetic_energy(model, i, q, qd) -> float:

@@ -123,9 +123,12 @@ def chain_jacobian_inverse(model, i, q):
     """Numerical inverse of the chain Jacobian.
 
     The Jacobian determinant is d4^2 cos^2(q3) sin(q2); either factor near
-    zero means the chain is at a fold and the inverse is refused.
+    zero means the chain is at a fold and the inverse is refused. A
+    non-finite q2 or q3 is a NumericalError; q1 does not enter.
     """
     q2, q3 = float(q[1]), float(q[2])
+    if not (math.isfinite(q2) and math.isfinite(q3)):
+        require_finite("q", [float(x) for x in q])
     if abs(math.cos(q3)) <= 1e-9:
         raise ChainSingular(i + 1, "cos(q3) = %.3g" % math.cos(q3))
     if abs(math.sin(q2)) <= 1e-9:
@@ -170,9 +173,16 @@ def ik_velocity(model, chain_q, v_p):
 
 
 def ik_acceleration(model, i, q, qd, vdot_p):
-    """Chain joint accelerations given joint state and platform acceleration."""
+    """Chain joint accelerations given joint state and platform acceleration.
+
+    A non-finite q2, q3, qd or vdot_p is a NumericalError.
+    """
     vdot_p = np.asarray(vdot_p, dtype=float).reshape(3)
     qd = np.asarray(qd, dtype=float).reshape(3)
     Jinv = chain_jacobian_inverse(model, i, q)
     Jd = chain_jacobian_dot(model, i, q, qd)
-    return Jinv @ (vdot_p - Jd @ qd)
+    qdd = Jinv @ (vdot_p - Jd @ qd)
+    if not math.isfinite(qdd[0]):  # a non-finite qd or vdot_p reaches every entry
+        require_finite("qd", qd.tolist())
+        require_finite("vdot_p", vdot_p.tolist())
+    return qdd

@@ -225,11 +225,20 @@ def _fmt_vec(v) -> str:
     return ", ".join(_fmt(x) for x in np.asarray(v, dtype=float).reshape(-1))
 
 
-def _get_float(cp, section, key):
+# config keys of a chain: its base row (each prefixed base_), then its lengths
+_BASE_KEYS = ("gamma", "b", "alpha", "d", "theta", "r")
+_LENGTH_KEYS = ("d4", "d6", "r2", "b7", "b9", "r5", "d8")
+
+
+def _get_raw(cp, section, key):
     try:
-        raw = cp.get(section, key)
+        return cp.get(section, key)
     except (configparser.NoSectionError, configparser.NoOptionError):
         raise ParseError("missing key '%s' in section [%s]" % (key, section)) from None
+
+
+def _get_float(cp, section, key):
+    raw = _get_raw(cp, section, key)
     try:
         return float(raw)
     except ValueError:
@@ -239,10 +248,7 @@ def _get_float(cp, section, key):
 
 
 def _get_vec(cp, section, key, n):
-    try:
-        raw = cp.get(section, key)
-    except (configparser.NoSectionError, configparser.NoOptionError):
-        raise ParseError("missing key '%s' in section [%s]" % (key, section)) from None
+    raw = _get_raw(cp, section, key)
     parts = [p for p in raw.replace(",", " ").split() if p]
     if len(parts) != n:
         raise ParseError(
@@ -300,18 +306,8 @@ def load_model(source) -> RobotModel:
         sec = "chain%d" % ci
         if not cp.has_section(sec):
             raise ParseError("missing section [%s]" % sec)
-        base = MdhJointParams(
-            frame=1,
-            parent=0,
-            kind="prismatic",
-            gamma=_get_float(cp, sec, "base_gamma"),
-            b=_get_float(cp, sec, "base_b"),
-            alpha=_get_float(cp, sec, "base_alpha"),
-            d=_get_float(cp, sec, "base_d"),
-            theta=_get_float(cp, sec, "base_theta"),
-            r=_get_float(cp, sec, "base_r"),
-        )
-        geom = {k: _get_float(cp, sec, k) for k in ("d4", "d6", "r2", "b7", "b9", "r5", "d8")}
+        base = MdhJointParams(1, 0, "prismatic", **{k: _get_float(cp, sec, "base_" + k) for k in _BASE_KEYS})
+        geom = {k: _get_float(cp, sec, k) for k in _LENGTH_KEYS}
         links = []
         for li in range(1, 8):
             lsec = "%s.link%d" % (sec, li)
@@ -347,9 +343,7 @@ def _require_finite(model: RobotModel) -> None:
     if not math.isfinite(model.platform_mass):
         raise ValidationError("platform_mass must be finite")
     for ci, chain in enumerate(model.chains, start=1):
-        base = chain.base
-        lengths = (base.gamma, base.b, base.alpha, base.d, base.theta, base.r,
-                   chain.d4, chain.d6, chain.r2, chain.b7, chain.b9, chain.r5, chain.d8)
+        lengths = [getattr(chain.base, k) for k in _BASE_KEYS] + [getattr(chain, k) for k in _LENGTH_KEYS]
         if not np.all(np.isfinite(lengths)):
             raise ValidationError("chain%d: base row, bar lengths and offsets must be finite" % ci)
         for li, link in enumerate(chain.links, start=1):
@@ -432,14 +426,9 @@ def dumps_model(model: RobotModel) -> str:
     out.append("")
     for ci, chain in enumerate(model.chains, start=1):
         out.append("[chain%d]" % ci)
-        base = chain.base
-        out.append("base_gamma = %s" % _fmt(base.gamma))
-        out.append("base_b = %s" % _fmt(base.b))
-        out.append("base_alpha = %s" % _fmt(base.alpha))
-        out.append("base_d = %s" % _fmt(base.d))
-        out.append("base_theta = %s" % _fmt(base.theta))
-        out.append("base_r = %s" % _fmt(base.r))
-        for k in ("d4", "d6", "r2", "b7", "b9", "r5", "d8"):
+        for k in _BASE_KEYS:
+            out.append("base_%s = %s" % (k, _fmt(getattr(chain.base, k))))
+        for k in _LENGTH_KEYS:
             out.append("%s = %s" % (k, _fmt(getattr(chain, k))))
         out.append("")
         for li, link in enumerate(chain.links, start=1):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chain_dynamics import chain_bias_h, chain_inertia_A, chain_torques_H
+from .chain_dynamics import _leg_dynamics, chain_torques_H
 from .errors import NumericalError, require_finite
 from .kinematics import chain_jacobian_dot, chain_jacobian_inverse, igm
 
@@ -61,21 +61,22 @@ def cartesian_chain_model(model, i, q, qd):
 
 
 def _pull_back(model, i, q, qd, Jinv):
-    """(Jinv^T A Jinv, Jinv^T h) of chain i, given its Jacobian inverse."""
+    """(Jinv^T A Jinv, Jinv^T h) of chain i, given its Jacobian inverse; A
+    and h come from one fused leg sweep."""
+    A, h = _leg_dynamics(model, i, q, qd)
     JinvT = Jinv.T
-    return JinvT @ chain_inertia_A(model, i, q) @ Jinv, JinvT @ chain_bias_h(model, i, q, qd)
+    return JinvT @ A @ Jinv, JinvT @ h
 
 
 def _assemble(model, chain_q, chain_qd, jinvs):
     A_robot = model.platform_mass * _EYE3
     h_robot = -model.platform_mass * model.gravity
-    for i in range(3):
-        q = chain_q[i]
-        qd = chain_qd[i]
+    # the leg sweep reads floats; the 3x3 products keep the numpy rate rows
+    for i, (q, qd) in enumerate(zip(chain_q.tolist(), chain_qd.tolist())):
         A_x, h_x = _pull_back(model, i, q, qd, jinvs[i])
         # the pulled-back inertia acts on Vdot = J qdd + Jdot qd, so the
         # Jacobian rate shows up as a correction to the bias
-        jdq = chain_jacobian_dot(model, i, q, qd) @ qd
+        jdq = chain_jacobian_dot(model, i, q, qd) @ chain_qd[i]
         A_robot = A_robot + A_x
         h_robot = h_robot + h_x - A_x @ jdq
     return A_robot, h_robot
@@ -116,9 +117,8 @@ def _direct_dynamics(model, p, v_p, gamma):
         Jp_inv[i] = Jinv[0]
     A_robot, h_robot = _assemble(model, chain_q, chain_qd, jinvs)
     # Sylvester test on the leading minors; cheaper than a factorization
-    m11 = A_robot[0, 0]
-    m22 = m11 * A_robot[1, 1] - A_robot[0, 1] * A_robot[1, 0]
-    if not (m11 > 0.0 and m22 > 0.0 and np.linalg.det(A_robot) > 0.0):
+    (m11, a01, _), (a10, a11, _), _ = A_robot.tolist()
+    if not (m11 > 0.0 and m11 * a11 - a01 * a10 > 0.0 and np.linalg.det(A_robot) > 0.0):
         raise NumericalError("robot inertia matrix is not positive definite")
     f_act = Jp_inv.T @ gamma
     return np.linalg.solve(A_robot, f_act - h_robot), L, chain_qd[:, 0]

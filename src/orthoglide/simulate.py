@@ -209,12 +209,15 @@ def simulate(model, p0, v0, torque_fn=None, config: SimConfig | None = None) -> 
         raise ValidationError("t_end must be nonnegative")
     if cfg.record_every < 1:
         raise ValidationError("record_every must be >= 1")
+    dt = cfg.dt
+    n_steps = round(cfg.t_end / dt)
+    # t_end / dt is a whole number up to its round-off
+    if abs(cfg.t_end / dt - n_steps) > 1e-9 * max(1, n_steps):
+        raise ValidationError("t_end %r is not a whole number of dt %r steps" % (cfg.t_end, dt))
     fn = torque_fn if torque_fn is not None else _zero_torque
 
     P = np.asarray(p0, dtype=float).reshape(3).copy()
     V = np.asarray(v0, dtype=float).reshape(3).copy()
-    dt = cfg.dt
-    n_steps = int(round(cfg.t_end / dt))
 
     # the start, every record_every-th step and the last one
     n_records = 1 + -(-n_steps // cfg.record_every)
@@ -243,6 +246,7 @@ def simulate(model, p0, v0, torque_fn=None, config: SimConfig | None = None) -> 
         t = k * dt
         try:
             if cfg.integrator == "euler":
+                t4 = None  # no k4 torque to reuse
                 P_next = P + dt * V
                 V_next = V + dt * acc
             else:
@@ -252,13 +256,15 @@ def simulate(model, p0, v0, torque_fn=None, config: SimConfig | None = None) -> 
                 k2p = V + 0.5 * dt * k1v
                 k3v = direct_dynamics(model, P + 0.5 * dt * k2p, V + 0.5 * dt * k2v, g2)
                 k3p = V + 0.5 * dt * k2v
-                g4 = np.asarray(fn(t + dt), dtype=float).reshape(3)
+                t4 = t + dt
+                g4 = np.asarray(fn(t4), dtype=float).reshape(3)
                 k4v = direct_dynamics(model, P + dt * k3p, V + dt * k3v, g4)
                 k4p = V + dt * k3v
                 P_next = P + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
                 V_next = V + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
             t_next = (k + 1) * dt
-            gamma = np.asarray(fn(t_next), dtype=float).reshape(3)
+            # k dt + dt is often the very float (k + 1) dt; the k4 torque is then the sample's
+            gamma = g4 if t4 == t_next else np.asarray(fn(t_next), dtype=float).reshape(3)
             acc, L, Ldot = _direct_dynamics(model, P_next, V_next, gamma)
         except (OutOfWorkspace, ChainSingular, NumericalError) as exc:
             return result(False, "%s: %s" % (type(exc).__name__, exc))

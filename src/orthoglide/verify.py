@@ -134,9 +134,15 @@ def kinetic_energy(model, p, v) -> float:
 
 def total_energy(model, p, v) -> float:
     """kinetic_energy plus potential_energy, the geometry solved once."""
+    return _energies(model, p, v)[1]
+
+
+def _energies(model, p, v):
+    """(kinetic_energy, total_energy) at (p, v), the geometry and T solved once."""
     p, v = _finite_vectors(p=p, v=v)
     at = _geometry(model, p)
-    return _kinetic_at(model, at, v) + _potential_at(model, p, at[0])
+    T = _kinetic_at(model, at, v)
+    return T, T + _potential_at(model, p, at[0])
 
 
 # ---------------------------------------------------------------------------
@@ -621,8 +627,7 @@ def _check_energy_drift(model, rng, n):
     res = simulate(m, p0, _DRIFT_V0, None, SimConfig(dt=1e-4, t_end=1.0, record_every=10))
     if not res.completed:
         raise NumericalError("conservation run stopped early: %s" % res.stop_reason)
-    E = np.array([total_energy(m, s.P, s.V) for s in res.samples])
-    T = np.array([kinetic_energy(m, s.P, s.V) for s in res.samples])
+    T, E = np.array([_energies(m, s.P, s.V) for s in res.samples]).T
     # the potential offset is arbitrary, so normalize drift by the actual
     # energy exchange seen during the run
     scale = max(float(T.max()), float(np.ptp(E - T)), 1e-9)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthoglide import (
     G,
@@ -18,11 +20,14 @@ from orthoglide import (
     chain_torques_H,
     closure_expand,
     composite_tree_inertia,
+    default_model,
+    direct_dynamics,
+    inverse_dynamics,
     model_with_gravity,
     tree_newton_euler,
 )
 from orthoglide import _kernels
-from orthoglide.chain_dynamics import _REST, _UNIT_ACCELERATIONS, _reduce3, _sweep
+from orthoglide.chain_dynamics import _REST, _UNIT_ACCELERATIONS, _leg_dynamics, _reduce3, _sweep
 from orthoglide.model import closure_positions, closure_rates
 from orthoglide.verify import _tree_potential
 
@@ -314,6 +319,7 @@ def test_kinetic_kernel_is_bitwise_the_scratch_row_version(model, rng):
         (chain_torques_H, 3, 2, "qdd"),
         (chain_kinetic_energy, 2, 0, "q"),
         (chain_kinetic_energy, 2, 1, "qd"),
+        (chain_inertia_A, 1, 0, "q"),
     ),
 )
 def test_non_finite_chain_state_is_numerical_error(model, fn, args, arg, name, bad):
@@ -322,3 +328,58 @@ def test_non_finite_chain_state_is_numerical_error(model, fn, args, arg, name, b
     with pytest.raises(NumericalError, match=r"non-finite %s \[" % name) as info:
         fn(model, 1, *state)
     assert repr(state[arg]) in str(info.value)
+
+
+# Property tests: hypothesis draws the states, derandomized with a fixed
+# example count so every run checks the same ones.
+_PROPERTY = settings(derandomize=True, database=None, deadline=None)
+
+
+def _around(*centres):
+    """Exact special values and values within 1e-12..1e-3 of them."""
+    offsets = (0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3)
+    return st.sampled_from([c + d for c in centres for d in offsets] + [-0.0])
+
+
+# the slider travel, and the shoulder and elbow angles up to and past
+# their folds (sin q2 = 0 at 0 and -pi, cos q3 = 0 at +-pi/2)
+_Q1 = st.floats(-0.2, 0.2) | st.sampled_from((0.0, -0.0))
+_Q2 = st.floats(-math.pi, 0.0) | _around(0.0, -HALF_PI, -math.pi)
+_Q3 = st.floats(-1.2, 1.2) | _around(0.0, HALF_PI, -HALF_PI)
+_RATE = st.floats(-3.0, 3.0) | st.sampled_from((0.0, -0.0, HALF_PI, -HALF_PI))
+_DENSE = _dense_inertia_model(default_model(), np.random.default_rng(20261018))
+_PROPERTY_MODELS = tuple(
+    model_with_gravity(m, g) if g else m for m in (default_model(), _DENSE) for g in (None, (0.0, 0.0, 0.0), (0.0, 0.0, -0.2))
+)
+
+
+@settings(_PROPERTY, max_examples=400)
+@given(st.sampled_from(_PROPERTY_MODELS), st.integers(0, 2), st.tuples(_Q1, _Q2, _Q3), st.tuples(_RATE, _RATE, _RATE))
+def test_fused_leg_sweep_is_bitwise_the_general_sweep(m, i, q, qd):
+    q9, qd9 = closure_positions(q), closure_rates(qd)
+    pack = m._packs[i]
+    bias, columns = _kernels.tree_direct_efforts(pack.frames, pack.inertia, q9, qd9, m.gravity, _UNIT_ACCELERATIONS)
+    # every tree effort, before the reduction could hide the sign of a zero
+    assert np.array(bias).tobytes() == np.array(_sweep(m, i, q9, qd9, _REST)).tobytes()
+    for column, unit in zip(columns, _UNIT_ACCELERATIONS):
+        assert np.array(column).tobytes() == np.array(_sweep(m, i, q9, _REST, unit, (0.0, 0.0, 0.0))).tobytes()
+    A, h = _leg_dynamics(m, i, q, qd)
+    full_h = _reduce3(_sweep(m, i, q9, qd9, _REST))
+    full_A = _inertia_by_full_sweeps(m, i, q)
+    assert h.tobytes() == full_h.tobytes() == chain_bias_h(m, i, q, qd).tobytes()
+    assert A.tobytes() == full_A.tobytes() == chain_inertia_A(m, i, q).tobytes()
+
+
+@settings(_PROPERTY, max_examples=150)
+@given(
+    st.sampled_from(_PROPERTY_MODELS),
+    st.tuples(*[st.floats(-0.08, 0.08)] * 3),
+    st.tuples(*[st.floats(-0.5, 0.5) | st.sampled_from((0.0, -0.0))] * 3),
+    st.tuples(*[st.floats(-3.0, 3.0) | st.sampled_from((0.0, -0.0))] * 3),
+)
+def test_idm_ddm_round_trip_property(m, offset, v, vdot):
+    p = np.array([0.0, 0.0, 0.6]) + offset
+    gamma = inverse_dynamics(m, p, v, vdot)
+    back = direct_dynamics(m, p, v, gamma)
+    # the idm_ddm_round_trip oracle's measure and tolerance
+    assert np.abs(back - vdot).max() / (1.0 + np.abs(vdot).max()) <= 1e-8

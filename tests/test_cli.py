@@ -86,6 +86,12 @@ def test_simulate_rejects_both_torque_flags(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("ERROR:ValidationError:")
 
 
+def test_simulate_t_end_off_the_step_grid_exits_1(capsys):
+    rc = main(["simulate", "--point", "0,0,0.6", "--dt", "0.003", "--t-end", "0.01"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("ERROR:ValidationError:")
+
+
 def test_simulate_with_torque_file(tmp_path, capsys):
     tq = tmp_path / "tq.csv"
     tq.write_text("t,G1,G2,G3\n0.0,0.0,0.0,9.81\n0.005,0.0,0.0,0.0\n")

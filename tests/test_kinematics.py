@@ -241,3 +241,25 @@ def test_non_finite_ik_velocity_input_is_numerical_error(model, bad):
     chain_q[2, 1] = bad
     with pytest.raises(NumericalError, match="non-finite chain_q"):
         ik_velocity(model, chain_q, (0.1, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+def test_non_finite_jacobian_inverse_and_acceleration_input_is_numerical_error(model, bad):
+    q = [0.0, -1.3, 0.3]
+    qd = [0.2, 0.1, -0.4]
+    vdot = [1.0, -2.0, 0.5]
+    for k in (1, 2):
+        bad_q = list(q)
+        bad_q[k] = bad
+        with pytest.raises(NumericalError, match=r"non-finite q \[") as info:
+            chain_jacobian_inverse(model, 0, bad_q)
+        assert repr(bad_q) in str(info.value)
+        with pytest.raises(NumericalError, match=r"non-finite q \["):
+            ik_acceleration(model, 0, bad_q, qd, vdot)
+    for k in range(3):
+        for arg, name in ((1, "qd"), (2, "vdot_p")):
+            args = [list(q), list(qd), list(vdot)]
+            args[arg][k] = bad
+            with pytest.raises(NumericalError, match=r"non-finite %s \[" % name) as info:
+                ik_acceleration(model, 0, *args)
+            assert repr(args[arg]) in str(info.value)

@@ -196,6 +196,39 @@ def test_bad_run_settings_rejected(model):
         simulate(model, P_HOME, (0, 0, 0), config=SimConfig(record_every=0))
 
 
+def test_t_end_off_the_step_grid_is_rejected(model):
+    # 0.01 / 0.003 = 3.33 steps: the run used to stop at 0.009 and report completed
+    with pytest.raises(ValidationError, match="whole number of dt"):
+        simulate(model, P_HOME, (0, 0, 0), config=SimConfig(dt=0.003, t_end=0.01))
+    # round-off in t_end / dt (0.009 / 0.003 = 2.9999999999999996) is no reason to refuse
+    res = simulate(model, P_HOME, (0, 0, 0), config=SimConfig(dt=0.003, t_end=0.009))
+    assert res.completed and res.samples.t.tolist() == [k * 0.003 for k in range(4)]
+
+
+def test_rk4_reuses_the_k4_torque_when_the_sample_time_is_the_same(model):
+    calls = []
+
+    def torque(t):
+        calls.append(t)
+        return np.array([0.0, 0.0, 0.1 * t])
+
+    dt = 1e-3
+    n = 20
+    res = simulate(model, P_HOME, (0.01, 0.0, 0.0), torque, SimConfig(dt=dt, t_end=n * dt))
+    # per step: the k2/k3 time, the k4 time, and the sample time only when
+    # (k + 1) dt is not the float k dt + dt
+    expected = [0.0]
+    for k in range(n):
+        t = k * dt
+        expected += [t + 0.5 * dt, t + dt]
+        if t + dt != (k + 1) * dt:
+            expected.append((k + 1) * dt)
+    assert calls == expected
+    assert len(calls) == 1 + 3 * n - 17
+    # the recorded efforts are still the torque at the sample times
+    assert res.samples.Gamma[:, 2].tolist() == [0.1 * t for t in res.samples.t]
+
+
 def test_read_csv_non_numeric_cell_is_parse_error(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(CSV_HEADER + "\n" + ",".join(["0.0"] * 15 + ["oops"]) + "\n")
