@@ -23,6 +23,12 @@ q, qd and qdd are per-frame joint values aligned with the rows (model.py's
 closure maps build them); fixed frames carry 0.0. A frame's placement in
 its parent is the 12-tuple from place: the rotation row major, then the
 origin.
+
+place, tree_newton_euler and tree_direct_efforts also take a batch, the
+jointed frames' values as (N,) arrays. All their operations are
+elementwise and keep the scalar order, so each state's efforts are the
+scalar ones bit for bit where numpy's +, -, *, sin and cos round as
+Python's floats and math do; tests compare the two byte for byte.
 """
 
 import math
@@ -39,15 +45,20 @@ def place(row, qj):
     """Placement of one frame in its parent at joint value qj.
 
     Returns a 12-tuple: the rotation row major, then the origin. A fixed
-    frame ignores qj.
+    frame ignores qj. qj is a float or an (N,) array of them; the cosine
+    and sine come from math for a float and from numpy for an array.
     """
     _, kind, cg, sg, ca, sa, b, d, theta, r = row
     if kind == PRISMATIC:
         r = r + qj
     elif kind == REVOLUTE:
         theta = theta + qj
-    ct = math.cos(theta)
-    st = math.sin(theta)
+    if isinstance(theta, float):
+        ct = math.cos(theta)
+        st = math.sin(theta)
+    else:
+        ct = np.cos(theta)
+        st = np.sin(theta)
     sgca = sg * ca
     cgca = cg * ca
     return (
@@ -104,14 +115,16 @@ def tree_newton_euler(frames, inertia, q, qd, qdd, g, fext):
     Gravity is folded into the base acceleration (a_root = -g). fext is the
     force the chain applies to the platform, expressed in the world frame;
     its reaction acts at the origin of frame 6. Returns the efforts of the
-    jointed frames in row order: frames 1..5, then frame 7.
+    jointed frames in row order: frames 1..5, then frame 7. For a batch the
+    scratch rows carry a trailing axis of q[0]'s shape.
     """
     n = len(inertia)
+    shape = getattr(q[0], "shape", ())
     Rl = [None] * n
-    R0 = np.zeros((n, 9))
-    w = np.zeros((n, 3))
-    wd = np.zeros((n, 3))
-    a = np.zeros((n, 3))
+    R0 = [None] * n
+    w = np.zeros((n, 3) + shape)
+    wd = np.zeros((n, 3) + shape)
+    a = np.zeros((n, 3) + shape)
 
     for j in range(n):
         row = frames[j]
@@ -175,12 +188,14 @@ def tree_newton_euler(frames, inertia, q, qd, qdd, g, fext):
             ajy += -2.0 * wjx * qdj
             ajz += qdd[j]
 
-        w[j] = (wjx, wjy, wjz)
-        wd[j] = (wdjx, wdjy, wdjz)
-        a[j] = (ajx, ajy, ajz)
+        # entry by entry, as a batch row may mix floats and arrays
+        wj, wdj, aj = w[j], wd[j], a[j]
+        wj[0], wj[1], wj[2] = wjx, wjy, wjz
+        wdj[0], wdj[1], wdj[2] = wdjx, wdjy, wdjz
+        aj[0], aj[1], aj[2] = ajx, ajy, ajz
 
-    f = np.zeros((n, 3))
-    nn = np.zeros((n, 3))
+    f = np.zeros((n, 3) + shape)
+    nn = np.zeros((n, 3) + shape)
     for j in range(n - 1, -1, -1):
         M, msx, msy, msz, J00, J01, J02, J10, J11, J12, J20, J21, J22 = inertia[j]
         wx, wy, wz = w[j]

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import NumericalError, require_finite
-from .model import TREE_ROWS, closure_positions, closure_rates, tree_slots
+from .model import TREE_ROWS, _closure_positions, _closure_rates, closure_positions, closure_rates, tree_slots
 
 # Tree coordinate order: frames 1, 2, 3, 4, 5, 7.
 # qdot_tree = G @ (q1dot, q2dot, q3dot); G is constant.
@@ -137,7 +137,7 @@ def _inertia(i, columns):
     s01 = 0.5 * (a01 + a10)
     s02 = 0.5 * (a02 + a20)
     s12 = 0.5 * (a12 + a21)
-    return np.array([[a00, s01, s02], [s01, a11, s12], [s02, s12, a22]])
+    return np.array((a00, s01, s02, s01, a11, s12, s02, s12, a22)).reshape(3, 3)
 
 
 def chain_inertia_A(model, i, q):
@@ -167,6 +167,40 @@ def _leg_dynamics(model, i, q, qd):
     """(chain_inertia_A, chain_bias_h) of chain i from one fused sweep, bit for bit."""
     bias, columns = _leg_sweep(model, i, q, qd, None, _UNIT_ACCELERATIONS)
     return _inertia(i, columns), _reduce3(bias)
+
+
+def _rows(n, *entries):
+    """(n, len(entries)) array whose column k holds entries[k], a float or an (n,) array."""
+    out = np.empty((n, len(entries)))
+    for k, e in enumerate(entries):
+        out[:, k] = e
+    return out
+
+
+def _torques_many(model, i, q, qd, qdd):
+    """chain_torques_H of chain i over a batch, q, qd and qdd three (N,) arrays each: an (N, 3) stack."""
+    gam = _sweep(model, i, _closure_positions(*q), _closure_rates(*qd), _closure_rates(*qdd))
+    return _rows(len(q[0]), *_free_efforts(gam))
+
+
+def _leg_dynamics_many(model, i, q, qd):
+    """_leg_dynamics of chain i over a batch, q and qd three (N,) arrays each: the (N, 3, 3)
+    inertia and (N, 3) bias stacks, under the scalar symmetry guard state by state."""
+    pack = model._packs[i]
+    bias, columns = _kernels.tree_direct_efforts(
+        pack.frames, pack.inertia, _closure_positions(*q), _closure_rates(*qd), model.gravity, _UNIT_ACCELERATIONS
+    )
+    (a00, a10, a20), (a01, a11, a21), (a02, a12, a22) = map(_free_efforts, columns)
+    defect = np.abs([a01 - a10, a02 - a20, a12 - a21]).max(axis=0)
+    scale = np.maximum(1.0, np.abs([a00, a01, a02, a10, a11, a12, a20, a21, a22]).max(axis=0))
+    if (defect > 1e-8 * scale).any():
+        raise NumericalError("chain %d inertia symmetry defect exceeds 1e-8" % (i + 1))
+    s01 = 0.5 * (a01 + a10)
+    s02 = 0.5 * (a02 + a20)
+    s12 = 0.5 * (a12 + a21)
+    n = len(q[0])
+    A = _rows(n, a00, s01, s02, s01, a11, s12, s02, s12, a22).reshape(n, 3, 3)
+    return A, _rows(n, *_free_efforts(bias))
 
 
 def chain_kinetic_energy(model, i, q, qd) -> float:

@@ -82,40 +82,51 @@ def parallelogram_gap(model, i, q) -> float:
     return float(np.linalg.norm(O[7] - O[8]))
 
 
-def _local_jacobian(pack, q2, q3):
-    d4 = pack.d4
-    c2, s2 = math.cos(q2), math.sin(q2)
-    c3, s3 = math.cos(q3), math.sin(q3)
+def _finite_angles(name, v):
+    """v[1] and v[2], the entries a chain Jacobian reads, as floats; NumericalError if one is not finite."""
+    a, b = float(v[1]), float(v[2])
+    if not (math.isfinite(a) and math.isfinite(b)):
+        require_finite(name, [float(x) for x in v])
+    return a, b
+
+
+def _jacobian_terms(d4, c2, s2, c3, s3):
+    """Entries (0, 1), (0, 2), (1, 2), (2, 1), (2, 2) of the chain Jacobian in the base frame, from
+    the cosines and sines of q2 and q3 (floats or (N,) arrays); (2, 0) is 1 and the rest 0."""
+    return -d4 * c3 * s2, -d4 * s3 * c2, -d4 * c3, -d4 * c3 * c2, d4 * s3 * s2
+
+
+def _jacobian_dot_terms(d4, c2, s2, c3, s3, qd2, qd3):
+    """The same five entries of the Jacobian's rate; the others are 0."""
+    return (d4 * (s3 * s2 * qd3 - c3 * c2 * qd2), d4 * (s3 * s2 * qd2 - c3 * c2 * qd3), d4 * s3 * qd3,
+            d4 * (s3 * c2 * qd3 + c3 * s2 * qd2), d4 * (c3 * s2 * qd3 + s3 * c2 * qd2))
+
+
+def _local_jacobian(d4, c2, s2, c3, s3):
     J = np.zeros((3, 3))
-    J[0, 1] = -d4 * c3 * s2
-    J[0, 2] = -d4 * s3 * c2
-    J[1, 2] = -d4 * c3
+    J[0, 1], J[0, 2], J[1, 2], J[2, 1], J[2, 2] = _jacobian_terms(d4, c2, s2, c3, s3)
     J[2, 0] = 1.0
-    J[2, 1] = -d4 * c3 * c2
-    J[2, 2] = d4 * s3 * s2
     return J
 
 
 def chain_jacobian(model, i, q):
-    """3x3 map (q1dot, q2dot, q3dot) -> platform velocity, world frame."""
+    """3x3 map (q1dot, q2dot, q3dot) -> platform velocity, world frame; NumericalError on a non-finite q2 or q3."""
+    q2, q3 = _finite_angles("q", q)
     pack = model._packs[i]
-    return pack.R_base @ _local_jacobian(pack, float(q[1]), float(q[2]))
+    return pack.R_base @ _local_jacobian(pack.d4, math.cos(q2), math.sin(q2), math.cos(q3), math.sin(q3))
 
 
 def chain_jacobian_dot(model, i, q, qd):
-    """Time derivative of chain_jacobian at (q, qd)."""
+    """Time derivative of chain_jacobian at (q, qd); NumericalError on a non-finite q2, q3, qd2 or qd3."""
     pack = model._packs[i]
-    d4 = pack.d4
-    q2, q3 = float(q[1]), float(q[2])
-    qd2, qd3 = float(qd[1]), float(qd[2])
-    c2, s2 = math.cos(q2), math.sin(q2)
-    c3, s3 = math.cos(q3), math.sin(q3)
+    q2, q3, qd2, qd3 = float(q[1]), float(q[2]), float(qd[1]), float(qd[2])
+    if not math.isfinite(q2 + q3 + qd2 + qd3):  # one test for all four, then which one
+        _finite_angles("q", q)
+        _finite_angles("qd", qd)
     Jd = np.zeros((3, 3))
-    Jd[0, 1] = d4 * (s3 * s2 * qd3 - c3 * c2 * qd2)
-    Jd[0, 2] = d4 * (s3 * s2 * qd2 - c3 * c2 * qd3)
-    Jd[1, 2] = d4 * s3 * qd3
-    Jd[2, 1] = d4 * (s3 * c2 * qd3 + c3 * s2 * qd2)
-    Jd[2, 2] = d4 * (c3 * s2 * qd3 + s3 * c2 * qd2)
+    Jd[0, 1], Jd[0, 2], Jd[1, 2], Jd[2, 1], Jd[2, 2] = _jacobian_dot_terms(
+        pack.d4, math.cos(q2), math.sin(q2), math.cos(q3), math.sin(q3), qd2, qd3
+    )
     return pack.R_base @ Jd
 
 
@@ -126,14 +137,14 @@ def chain_jacobian_inverse(model, i, q):
     zero means the chain is at a fold and the inverse is refused. A
     non-finite q2 or q3 is a NumericalError; q1 does not enter.
     """
-    q2, q3 = float(q[1]), float(q[2])
-    if not (math.isfinite(q2) and math.isfinite(q3)):
-        require_finite("q", [float(x) for x in q])
-    if abs(math.cos(q3)) <= 1e-9:
-        raise ChainSingular(i + 1, "cos(q3) = %.3g" % math.cos(q3))
-    if abs(math.sin(q2)) <= 1e-9:
-        raise ChainSingular(i + 1, "sin(q2) = %.3g" % math.sin(q2))
-    J = chain_jacobian(model, i, q)
+    q2, q3 = _finite_angles("q", q)
+    c2, s2, c3, s3 = math.cos(q2), math.sin(q2), math.cos(q3), math.sin(q3)
+    if abs(c3) <= 1e-9:
+        raise ChainSingular(i + 1, "cos(q3) = %.3g" % c3)
+    if abs(s2) <= 1e-9:
+        raise ChainSingular(i + 1, "sin(q2) = %.3g" % s2)
+    pack = model._packs[i]
+    J = pack.R_base @ _local_jacobian(pack.d4, c2, s2, c3, s3)
     try:
         return np.linalg.inv(J)
     except np.linalg.LinAlgError:  # pragma: no cover
@@ -180,9 +191,7 @@ def ik_acceleration(model, i, q, qd, vdot_p):
     vdot_p = np.asarray(vdot_p, dtype=float).reshape(3)
     qd = np.asarray(qd, dtype=float).reshape(3)
     Jinv = chain_jacobian_inverse(model, i, q)
-    Jd = chain_jacobian_dot(model, i, q, qd)
-    qdd = Jinv @ (vdot_p - Jd @ qd)
-    if not math.isfinite(qdd[0]):  # a non-finite qd or vdot_p reaches every entry
-        require_finite("qd", qd.tolist())
-        require_finite("vdot_p", vdot_p.tolist())
-    return qdd
+    # before the products, where an infinity times a zero entry would warn
+    require_finite("qd", qd.tolist())
+    require_finite("vdot_p", vdot_p.tolist())
+    return Jinv @ (vdot_p - chain_jacobian_dot(model, i, q, qd) @ qd)

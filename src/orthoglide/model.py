@@ -61,13 +61,20 @@ _KIND_CODES = {"revolute": _kernels.REVOLUTE, "prismatic": _kernels.PRISMATIC, "
 
 def closure_positions(q):
     """Joint values of frames 1..9 for free chain coordinates (q1, q2, q3)."""
-    q1, q2, q3 = map(float, q)
+    return _closure_positions(*map(float, q))
+
+
+def _closure_positions(q1, q2, q3):
+    # floats, or (N,) arrays for a batch of states
     return (q1, q2, q3, -q3, -q2 - _HALF_PI, 0.0, q3, -q3, 0.0)
 
 
 def closure_rates(qd):
     """Joint rates (or accelerations) of frames 1..9 for free-coordinate rates."""
-    qd1, qd2, qd3 = map(float, qd)
+    return _closure_rates(*map(float, qd))
+
+
+def _closure_rates(qd1, qd2, qd3):
     return (qd1, qd2, qd3, -qd3, -qd2, 0.0, qd3, -qd3, 0.0)
 
 

@@ -48,9 +48,10 @@ from .kinematics import (
 )
 from .model import TREE_ROWS, closure_positions, model_with_gravity, tree_slots
 from .robot_dynamics import (
+    _direct_dynamics_many,
     _finite_vectors,
+    _inverse_dynamics_many,
     assemble_robot_dyn,
-    direct_dynamics,
     inverse_dynamics,
     platform_force,
 )
@@ -544,10 +545,9 @@ def _check_robot_kinetic_quadratic(model, rng, n):
 
 
 def _check_lagrangian(model, rng, n):
+    P, V, A = map(np.array, zip(*(_sample_state(model, rng) for _ in range(n))))
     worst = 0.0
-    for _ in range(n):
-        p, v, a = _sample_state(model, rng)
-        gam = inverse_dynamics(model, p, v, a)
+    for p, v, a, gam in zip(P, V, A, _inverse_dynamics_many(model, P, V, A)):
         gam_oracle = lagrangian_idm_oracle(model, p, v, a)
         worst = max(worst, _rel(gam - gam_oracle, gam))
     return worst, n
@@ -582,11 +582,9 @@ def _check_reaction_unit_column(model, rng, n):
 
 
 def _check_idm_ddm_round_trip(model, rng, n):
+    P, V, A = map(np.array, zip(*(_sample_state(model, rng) for _ in range(n))))
     worst = 0.0
-    for _ in range(n):
-        p, v, a = _sample_state(model, rng)
-        gam = inverse_dynamics(model, p, v, a)
-        a2 = direct_dynamics(model, p, v, gam)
+    for a, a2 in zip(A, _direct_dynamics_many(model, P, V, _inverse_dynamics_many(model, P, V, A))):
         worst = max(worst, _rel(a2 - a, a))
     return worst, n
 

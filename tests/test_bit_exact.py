@@ -1,6 +1,14 @@
 """Exact pins on the default model: any change to a float expression, its
-evaluation order or the frame tables shows up here as a changed repr."""
+evaluation order or the frame tables shows up here as a changed repr.
 
+The 3x3 products, inverses and solves go through OpenBLAS, whose kernel
+depends on the CPU, so the pins hold on the core they were taken on."""
+
+import ctypes
+import glob
+import os
+
+import numpy as np
 import pytest
 
 from orthoglide import (
@@ -46,6 +54,22 @@ PINS = (
 )
 
 
+# the OpenBLAS core the pins were taken on
+PINNED_CORE = "SkylakeX"
+
+
+def _openblas_core():
+    """The core numpy's bundled OpenBLAS runs on, or 'unknown'."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*.so"))
+    try:
+        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.argtypes = []
+    corename.restype = ctypes.c_char_p
+    return corename().decode("ascii", "replace")
+
+
 def _floats(v):
     return [float(x) for x in v]
 
@@ -55,7 +79,8 @@ def test_outputs_are_bit_exact(model, state, idm, ddm, kinetic, origins):
     p, v, vdot, gamma = state
     _, chain_q = igm(model, p)
     _, chain_qd = ik_velocity(model, chain_q, v)
-    assert repr(_floats(inverse_dynamics(model, p, v, vdot))) == idm
-    assert repr(_floats(direct_dynamics(model, p, v, gamma))) == ddm
-    assert repr([chain_kinetic_energy(model, i, chain_q[i], chain_qd[i]) for i in range(3)]) == kinetic
-    assert repr([_floats(chain_frames(model, i, chain_q[i])[1][5]) for i in range(3)]) == origins
+    cores = "pins taken on OpenBLAS core %s, this run uses %s" % (PINNED_CORE, _openblas_core())
+    assert repr(_floats(inverse_dynamics(model, p, v, vdot))) == idm, cores
+    assert repr(_floats(direct_dynamics(model, p, v, gamma))) == ddm, cores
+    assert repr([chain_kinetic_energy(model, i, chain_q[i], chain_qd[i]) for i in range(3)]) == kinetic, cores
+    assert repr([_floats(chain_frames(model, i, chain_q[i])[1][5]) for i in range(3)]) == origins, cores

@@ -10,8 +10,10 @@ from orthoglide import (
     G,
     G_T,
     NumericalError,
+    OrthoglideError,
     TreeState,
     chain_bias_h,
+    chain_forward_point,
     chain_inertia_A,
     chain_jacobian,
     chain_jacobian_inverse,
@@ -22,14 +24,15 @@ from orthoglide import (
     composite_tree_inertia,
     default_model,
     direct_dynamics,
+    igm,
     inverse_dynamics,
     model_with_gravity,
     tree_newton_euler,
 )
-from orthoglide import _kernels
+from orthoglide import _kernels, robot_dynamics
 from orthoglide.chain_dynamics import _REST, _UNIT_ACCELERATIONS, _leg_dynamics, _reduce3, _sweep
 from orthoglide.model import closure_positions, closure_rates
-from orthoglide.verify import _tree_potential
+from orthoglide.verify import _sample_state, _tree_potential
 
 HALF_PI = math.pi / 2
 
@@ -383,3 +386,103 @@ def test_idm_ddm_round_trip_property(m, offset, v, vdot):
     back = direct_dynamics(m, p, v, gamma)
     # the idm_ddm_round_trip oracle's measure and tolerance
     assert np.abs(back - vdot).max() / (1.0 + np.abs(vdot).max()) <= 1e-8
+
+
+# Batched dynamics against the scalar loop. The near-fold points are the
+# reachable ones a chain's shoulder angle puts within 1e-3 of its fold.
+def _near_fold_points(m):
+    points = []
+    for i in range(3):
+        for q2 in (1e-3, -1e-3, -math.pi + 1e-3, -math.pi - 1e-3):
+            for q3 in np.linspace(-1.5, 1.5, 61):
+                p = chain_forward_point(m, i, (0.0, q2, q3))
+                try:
+                    igm(m, p)
+                except OrthoglideError:
+                    continue
+                points.append(tuple(p))
+    return points
+
+
+_NEAR_FOLD = _near_fold_points(default_model())
+_CENTRE_OFFSET = st.floats(-0.08, 0.08)
+
+
+def _signed(bound):
+    return st.floats(-bound, bound) | st.sampled_from((0.0, -0.0))
+
+
+_BATCH_STATE = st.tuples(
+    st.tuples(_CENTRE_OFFSET, _CENTRE_OFFSET, _CENTRE_OFFSET).map(lambda o: (o[0], o[1], 0.6 + o[2]))
+    | st.sampled_from(_NEAR_FOLD),
+    st.tuples(*[_signed(0.5)] * 3),
+    st.tuples(*[_signed(3.0)] * 3),
+    st.tuples(*[_signed(200.0)] * 3),
+)
+# and one whose platform mass is not 1.0, which a product with it would hide
+_BATCH_MODELS = _PROPERTY_MODELS + (dataclasses.replace(_DENSE, platform_mass=1.7),)
+_BATCHES = (
+    (robot_dynamics._inverse_dynamics_many, robot_dynamics._inverse_batch, inverse_dynamics),
+    (robot_dynamics._direct_dynamics_many, robot_dynamics._direct_batch, direct_dynamics),
+)
+
+
+def _assert_batch_is_scalar_loop(m, P, V, X, many, batch, scalar):
+    """many gives the scalar loop's rows byte for byte, through batch itself
+    when the loop succeeds, or raises the loop's first error."""
+    try:
+        rows = np.array([scalar(m, p, v, x) for p, v, x in zip(P, V, X)])
+    except OrthoglideError as err:
+        with pytest.raises(type(err)) as info:
+            many(m, P, V, X)
+        assert str(info.value) == str(err)
+        return None
+    assert batch(m, P, V, X).tobytes() == rows.tobytes()
+    assert many(m, P, V, X).tobytes() == rows.tobytes()
+    return rows
+
+
+@settings(_PROPERTY, max_examples=25)
+@given(st.sampled_from(_BATCH_MODELS), st.integers(1, 64).flatmap(lambda n: st.lists(_BATCH_STATE, min_size=n, max_size=n)))
+def test_batched_dynamics_are_bitwise_the_scalar_loop(m, states):
+    P, V, A, Gamma = (np.array(x, dtype=float) for x in zip(*states))
+    for (many, batch, scalar), X in zip(_BATCHES, (A, Gamma)):
+        _assert_batch_is_scalar_loop(m, P, V, X, many, batch, scalar)
+
+
+# (p, v, vdot or gamma) that the scalar functions refuse
+_BAD_STATES = (
+    ((0.0, 0.0, 2.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),  # out of the workspace
+    # chain 2 at its shoulder fold, where igm's arcsine sits on its edge
+    (tuple(chain_forward_point(default_model(), 1, (0.0, 0.0, -1.3))), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+    ((0.0, math.nan, 0.6), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+    ((0.0, 0.0, 0.6), (math.inf, 0.0, 0.0), (0.0, 0.0, 0.0)),
+    ((0.0, 0.0, 0.6), (1.5e308, -1.5e308, 1.5e308), (0.0, 0.0, 0.0)),  # finite, but the joint rates overflow
+    ((0.0, 0.0, 0.6), (0.0, 0.0, 0.0), (0.0, -math.inf, 0.0)),
+)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(_PROPERTY, max_examples=25)
+@given(st.sampled_from(_BATCH_MODELS), st.lists(_BATCH_STATE, min_size=1, max_size=16), st.sampled_from(_BAD_STATES), st.integers(0, 16))
+def test_batch_with_a_bad_state_raises_the_scalar_loops_error(m, states, bad, at):
+    P, V, A, Gamma = (np.array(x, dtype=float) for x in zip(*states))
+    at = min(at, len(P))
+    P, V, A, Gamma = (np.insert(X, at, b, axis=0) for X, b in zip((P, V, A, Gamma), bad + bad[2:]))
+    for (many, batch, scalar), X in zip(_BATCHES, (A, Gamma)):
+        assert _assert_batch_is_scalar_loop(m, P, V, X, many, batch, scalar) is None
+
+
+def test_batch_guards_on_a_corrupted_model_raise_the_scalar_error(model, rng):
+    P, V, A = (np.array(x) for x in zip(*(_sample_state(model, rng) for _ in range(5))))
+    links = list(model.chains[0].links)
+    asymmetric = links[2].inertia.copy()
+    asymmetric[1, 2] += 1e-3
+    for link in (
+        dataclasses.replace(links[2], inertia=asymmetric),  # the leg symmetry guard
+        dataclasses.replace(links[2], mass=0.0, first_moment=np.zeros(3), inertia=-40.0 * np.eye(3)),  # Sylvester
+    ):
+        links[2] = link
+        chain = dataclasses.replace(model.chains[0], links=tuple(links))
+        bad = dataclasses.replace(model, chains=(chain,) + model.chains[1:])
+        assert _assert_batch_is_scalar_loop(bad, P, V, A, *_BATCHES[1]) is None

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthoglide import (
     ChainSingular,
@@ -43,6 +45,19 @@ def test_igm_forward_round_trip(model, rng):
         _, cq = igm(model, p)
         for i in range(3):
             assert np.abs(chain_forward_point(model, i, cq[i]) - p).max() < 1e-12
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.tuples(*[st.floats(-0.3, 0.3) | st.sampled_from((0.0, -0.0))] * 3))
+def test_igm_forward_round_trip_property(model, offset):
+    # a cube about the workspace centre, about 40% of it out of reach
+    p = np.array([0.0, 0.0, 0.6]) + offset
+    try:
+        _, cq = igm(model, p)
+    except OutOfWorkspace:
+        return
+    for i in range(3):
+        assert np.abs(chain_forward_point(model, i, cq[i]) - p).max() < 1e-12
 
 
 def test_igm_branch_ranges(model, rng):
@@ -243,6 +258,30 @@ def test_non_finite_ik_velocity_input_is_numerical_error(model, bad):
         ik_velocity(model, chain_q, (0.1, 0.0, 0.0))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+def test_non_finite_jacobian_and_rate_input_is_numerical_error(model, bad):
+    q = [0.0, -1.3, 0.3]
+    qd = [0.2, 0.1, -0.4]
+    for k in (1, 2):
+        bad_q = list(q)
+        bad_q[k] = bad
+        bad_qd = list(qd)
+        bad_qd[k] = bad
+        for call in (lambda: chain_jacobian(model, 0, bad_q), lambda: chain_jacobian_dot(model, 0, bad_q, qd)):
+            with pytest.raises(NumericalError, match=r"non-finite q \[") as info:
+                call()
+            assert repr(bad_q) in str(info.value)
+        with pytest.raises(NumericalError, match=r"non-finite qd \[") as info:
+            chain_jacobian_dot(model, 0, q, bad_qd)
+        assert repr(bad_qd) in str(info.value)
+    # q1 and qd1 enter neither matrix
+    assert np.array_equal(chain_jacobian(model, 0, [bad, -1.3, 0.3]), chain_jacobian(model, 0, q))
+    assert np.array_equal(chain_jacobian_dot(model, 0, [bad, -1.3, 0.3], [bad, 0.1, -0.4]), chain_jacobian_dot(model, 0, q, qd))
+
+
+# warnings are errors: a non-finite input must not reach a product first
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
 def test_non_finite_jacobian_inverse_and_acceleration_input_is_numerical_error(model, bad):
     q = [0.0, -1.3, 0.3]

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthoglide import (
     DEFAULT_CONFIG,
@@ -219,3 +221,76 @@ def test_non_finite_values_rejected(old, new):
     assert old in DEFAULT_CONFIG
     with pytest.raises(ValidationError):
         load_model(DEFAULT_CONFIG.replace(old, new, 1))
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_MODEST = st.floats(-1e300, 1e300)
+
+
+def _all_floats(m):
+    """Every float of a model, in a fixed order."""
+    values = [*m.gravity, m.platform_mass]
+    for chain in m.chains:
+        values += [getattr(chain.base, k) for k in ("gamma", "b", "alpha", "d", "theta", "r")]
+        values += [chain.d4, chain.d6, chain.r2, chain.b7, chain.b9, chain.r5, chain.d8]
+        for link in chain.links:
+            values += [link.mass, *link.first_moment, *link.inertia.ravel()]
+    return np.array(values, dtype=float)
+
+
+@st.composite
+def _valid_models(draw):
+    """The default model with random finite values wherever validation allows
+    any: gravity, platform mass, each chain's base theta, bar lengths and rail
+    offset, and each link's mass, first moment and diagonal inertia."""
+    m = default_model()
+    chains = []
+    for chain in m.chains:
+        d4, r2 = draw(_POSITIVE), draw(_MODEST)
+        links = tuple(
+            dataclasses.replace(
+                link,
+                mass=draw(_POSITIVE),
+                first_moment=draw(st.tuples(_FINITE, _FINITE, _FINITE)),
+                inertia=np.diag(draw(st.tuples(*[st.floats(0.0, 1e300)] * 3))),
+            )
+            for link in chain.links
+        )
+        base = dataclasses.replace(chain.base, theta=draw(_FINITE))
+        chains.append(dataclasses.replace(
+            chain, base=base, d4=d4, d8=d4, d6=draw(st.floats(0.0, 1e300)), r2=r2, b7=-2.0 * r2, b9=-r2, r5=-r2, links=links
+        ))
+    gravity = draw(st.tuples(_FINITE, _FINITE, _FINITE))
+    return dataclasses.replace(m, chains=tuple(chains), gravity=gravity, platform_mass=draw(_POSITIVE))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(_valid_models())
+def test_config_round_trip_is_bit_exact_property(m):
+    text = dumps_model(m)
+    m2 = load_model(text)
+    assert dumps_model(m2) == text
+    assert _all_floats(m2).tobytes() == _all_floats(m).tobytes()
+
+
+# (line, component) of every number in the default config
+_FIELDS = tuple(
+    (k, c)
+    for k, line in enumerate(DEFAULT_CONFIG.splitlines())
+    if " = " in line
+    for c in range(len(line.split(" = ")[1].split(", ")))
+)
+
+
+@pytest.mark.parametrize("bad", ("nan", "-inf"))
+def test_every_non_finite_field_is_a_validation_error(bad):
+    # every field, not a sample: the 316 numbers load in under a second
+    lines = DEFAULT_CONFIG.splitlines()
+    for k, c in _FIELDS:
+        key, values = lines[k].split(" = ")
+        values = values.split(", ")
+        values[c] = bad
+        text = "\n".join(lines[:k] + ["%s = %s" % (key, ", ".join(values))] + lines[k + 1 :])
+        with pytest.raises(ValidationError):
+            load_model(text)
