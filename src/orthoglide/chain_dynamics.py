@@ -10,6 +10,7 @@ G below; no extra velocity terms appear.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,6 +167,9 @@ def chain_bias_h(model, i, q, qd, gravity=None):
 def _leg_dynamics(model, i, q, qd):
     """(chain_inertia_A, chain_bias_h) of chain i from one fused sweep, bit for bit."""
     bias, columns = _leg_sweep(model, i, q, qd, None, _UNIT_ACCELERATIONS)
+    if not math.isfinite(sum(bias)):
+        # finite rates whose velocity terms overflow; refuse before numpy warns on them
+        require_finite("chain %d bias efforts" % (i + 1), bias)
     return _inertia(i, columns), _reduce3(bias)
 
 

@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", default="default",
                        help="'default' or path to a model config (default: default)")
         p.add_argument("--out", default=None, help="write output to this file instead of stdout")
-        p.add_argument("--format", choices=("text", "csv", "json"), default="text")
+        p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("ik", help="inverse geometry for one platform point")
     common(p)

@@ -26,10 +26,10 @@ prismatic one.
 
 Config files are INI text (configparser syntax). See DEFAULT_CONFIG for a
 complete example. Geometry keys per chain: the base placement row
-(base_gamma, base_b, base_alpha, base_d, base_theta, base_r) and the scalar
-lengths d4, d6, r2, b7, b9, r5, d8. The rail offsets are not independent:
-b7 must equal -2*r2, b9 and r5 must equal -r2, and d8 must equal d4, all
-exactly as parsed doubles, or the loop does not close. Inertia sections
+(base_gamma, base_b, base_alpha, base_d, base_theta, base_r) of the
+prismatic frame 1 and the lengths d4, d6, r2. The second bar's offsets are
+derived, as the loop closes only with b7 = -2*r2, b9 = r5 = -r2, d8 = d4;
+the loader ignores those keys in older files. Inertia sections
 give mass (kg), ms (first moment m*c, kg m, 3 numbers) and inertia (9
 numbers, row major, kg m^2), both about the link frame. An optional
 [verify] section overrides verification tolerances by check name.
@@ -88,10 +88,11 @@ def tree_slots(v6):
 
 @dataclass(frozen=True)
 class MdhJointParams:
-    """Placement of one frame relative to its parent, plus the joint kind."""
+    """Placement of one frame relative to its parent, plus the joint kind.
 
-    frame: int
-    parent: int
+    Each frame's parent comes from FRAME_PARENTS.
+    """
+
     kind: str
     gamma: float = 0.0
     b: float = 0.0
@@ -121,36 +122,36 @@ class LinkInertia:
 
 @dataclass(frozen=True, eq=False)
 class ChainGeometry:
-    """One leg: base placement, bar lengths, rail offsets, link inertias."""
+    """One leg: base placement, bar lengths, link inertias."""
 
     base: MdhJointParams
     d4: float
     d6: float
     r2: float
-    b7: float
-    b9: float
-    r5: float
-    d8: float
     links: tuple
 
     @property
     def joints(self) -> tuple:
-        """Frames 2..9 as MdhJointParams rows."""
+        """Frames 2..9 as MdhJointParams rows; the second bar (frames 7-9)
+        has the offsets that close the parallelogram."""
         mk = MdhJointParams
+        r2, d4 = self.r2, self.d4
         return (
-            mk(2, 1, "revolute", alpha=-_HALF_PI, r=self.r2),
-            mk(3, 2, "revolute", alpha=-_HALF_PI),
-            mk(4, 3, "revolute", d=self.d4),
-            mk(5, 4, "revolute", alpha=_HALF_PI, r=self.r5),
-            mk(6, 5, "fixed", d=self.d6),
-            mk(7, 2, "revolute", b=self.b7, alpha=-_HALF_PI),
-            mk(8, 7, "revolute", d=self.d8),
-            mk(9, 5, "fixed", b=self.b9, alpha=-_HALF_PI),
+            mk("revolute", alpha=-_HALF_PI, r=r2),
+            mk("revolute", alpha=-_HALF_PI),
+            mk("revolute", d=d4),
+            mk("revolute", alpha=_HALF_PI, r=-r2),
+            mk("fixed", d=self.d6),
+            mk("revolute", b=-2.0 * r2, alpha=-_HALF_PI),
+            mk("revolute", d=d4),
+            mk("fixed", b=-r2, alpha=-_HALF_PI),
         )
 
 
 def _frame_row(params: MdhJointParams, parent: int) -> tuple:
     """One row of the kernels' frame table (layout in _kernels)."""
+    if params.kind not in _KIND_CODES:
+        raise ValidationError("unknown joint kind %r (expected one of %s)" % (params.kind, ", ".join(_KIND_CODES)))
     return (
         parent,
         _KIND_CODES[params.kind],
@@ -189,7 +190,8 @@ class RobotModel:
     chains holds three ChainGeometry entries; gravity is the field vector in
     the world frame; platform_mass is the lumped platform mass (the platform
     never rotates, so no platform inertia tensor is needed). A non-finite
-    value anywhere raises ValidationError at construction.
+    value anywhere, or a base that is not prismatic, raises ValidationError
+    at construction.
     """
 
     chains: tuple
@@ -204,6 +206,9 @@ class RobotModel:
         object.__setattr__(self, "platform_mass", float(self.platform_mass))
         object.__setattr__(self, "chains", tuple(self.chains))
         _require_finite(self)
+        for ci, chain in enumerate(self.chains, start=1):
+            if chain.base.kind != "prismatic":
+                raise ValidationError("chain%d: base kind %r, but frame 1 must be prismatic" % (ci, chain.base.kind))
         packs = tuple(_ChainPack(c) for c in self.chains)
         anchors = np.stack([p.anchor for p in packs])
         anchors.flags.writeable = False
@@ -234,7 +239,7 @@ def _fmt_vec(v) -> str:
 
 # config keys of a chain: its base row (each prefixed base_), then its lengths
 _BASE_KEYS = ("gamma", "b", "alpha", "d", "theta", "r")
-_LENGTH_KEYS = ("d4", "d6", "r2", "b7", "b9", "r5", "d8")
+_LENGTH_KEYS = ("d4", "d6", "r2")
 
 
 def _get_raw(cp, section, key):
@@ -313,7 +318,7 @@ def load_model(source) -> RobotModel:
         sec = "chain%d" % ci
         if not cp.has_section(sec):
             raise ParseError("missing section [%s]" % sec)
-        base = MdhJointParams(1, 0, "prismatic", **{k: _get_float(cp, sec, "base_" + k) for k in _BASE_KEYS})
+        base = MdhJointParams("prismatic", **{k: _get_float(cp, sec, "base_" + k) for k in _BASE_KEYS})
         geom = {k: _get_float(cp, sec, k) for k in _LENGTH_KEYS}
         links = []
         for li in range(1, 8):
@@ -351,7 +356,8 @@ def _require_finite(model: RobotModel) -> None:
         raise ValidationError("platform_mass must be finite")
     for ci, chain in enumerate(model.chains, start=1):
         lengths = [getattr(chain.base, k) for k in _BASE_KEYS] + [getattr(chain, k) for k in _LENGTH_KEYS]
-        if not np.all(np.isfinite(lengths)):
+        # and the derived offset b7 = -2*r2, which overflows for a finite r2 past half the largest double
+        if not np.all(np.isfinite(lengths + [-2.0 * chain.r2])):
             raise ValidationError("chain%d: base row, bar lengths and offsets must be finite" % ci)
         for li, link in enumerate(chain.links, start=1):
             if not (math.isfinite(link.mass) and np.all(np.isfinite(link.first_moment))
@@ -372,14 +378,6 @@ def validate_model(model: RobotModel) -> None:
             raise ValidationError("%s: d4 must be positive" % tag)
         if chain.d6 < 0.0:
             raise ValidationError("%s: d6 must be nonnegative" % tag)
-        if chain.b7 != -2.0 * chain.r2:
-            raise ValidationError("%s: b7 must equal -2*r2 exactly" % tag)
-        if chain.b9 != -chain.r2:
-            raise ValidationError("%s: b9 must equal -r2 exactly" % tag)
-        if chain.r5 != -chain.r2:
-            raise ValidationError("%s: r5 must equal -r2 exactly" % tag)
-        if chain.d8 != chain.d4:
-            raise ValidationError("%s: d8 must equal d4 exactly" % tag)
         if len(chain.links) != 7:
             raise ValidationError("%s: expected 7 link inertia entries" % tag)
         for li, link in enumerate(chain.links, start=1):
@@ -399,15 +397,8 @@ def validate_model(model: RobotModel) -> None:
     if float(np.abs(anchors[0]).max()) > 1e-12:
         raise ValidationError("chain1 anchor must sit at the world origin")
     # the three actuator axes must meet at one point
-    A = np.zeros((3, 3))
-    b = np.zeros(3)
-    for pack in model._packs:
-        u = pack.axis
-        P = np.eye(3) - np.outer(u, u)
-        A += P
-        b += P @ pack.anchor
     try:
-        K = np.linalg.solve(A, b)
+        K = _axes_meeting_point(model)
     except np.linalg.LinAlgError:
         raise ValidationError("actuator axes do not define a common point") from None
     for ci, pack in enumerate(model._packs, start=1):
@@ -418,6 +409,18 @@ def validate_model(model: RobotModel) -> None:
                 "actuator axes are not concurrent (chain%d misses the common point by %.3g)"
                 % (ci, float(np.linalg.norm(perp)))
             )
+
+
+def _axes_meeting_point(model: RobotModel) -> np.ndarray:
+    """The point nearest the actuator axes in least squares; LinAlgError if there is none."""
+    A = np.zeros((3, 3))
+    b = np.zeros(3)
+    for pack in model._packs:
+        u = pack.axis
+        P = np.eye(3) - np.outer(u, u)
+        A += P
+        b += P @ pack.anchor
+    return np.linalg.solve(A, b)
 
 
 def dumps_model(model: RobotModel) -> str:
@@ -475,24 +478,11 @@ def _build_default_model() -> RobotModel:
     a = 0.2
     d4, d6, r2 = 0.5, 0.1, 0.05
     bases = (
-        MdhJointParams(1, 0, "prismatic"),
-        MdhJointParams(1, 0, "prismatic", gamma=_HALF_PI, b=a, alpha=_HALF_PI, r=-a),
-        MdhJointParams(1, 0, "prismatic", b=a, alpha=-_HALF_PI, theta=-_HALF_PI, r=-a),
+        MdhJointParams("prismatic"),
+        MdhJointParams("prismatic", gamma=_HALF_PI, b=a, alpha=_HALF_PI, r=-a),
+        MdhJointParams("prismatic", b=a, alpha=-_HALF_PI, theta=-_HALF_PI, r=-a),
     )
-    chains = tuple(
-        ChainGeometry(
-            base=b,
-            d4=d4,
-            d6=d6,
-            r2=r2,
-            b7=-2.0 * r2,
-            b9=-r2,
-            r5=-r2,
-            d8=d4,
-            links=_default_links(),
-        )
-        for b in bases
-    )
+    chains = tuple(ChainGeometry(base=b, d4=d4, d6=d6, r2=r2, links=_default_links()) for b in bases)
     return RobotModel(
         chains=chains,
         gravity=np.array([0.0, 0.0, -9.81]),

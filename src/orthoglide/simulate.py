@@ -333,11 +333,14 @@ def format_trajectory_json(samples) -> str:
 
     The text is json.dumps(..., indent=1) of {"samples": [...]} plus a
     newline, written without the pure-Python encoder that indent selects.
+    A sequence that gives rates (Ldot) for some samples only raises
+    ValidationError.
     """
     if isinstance(samples, Trajectory):
         rows = samples._data.tolist()
     else:
-        # a plain sequence may carry rates on some samples only
+        if len({s.Ldot is None for s in samples}) > 1:  # read_trajectory_json refuses that file
+            raise ValidationError("Ldot must be given for every sample or for none")
         rates = [[] if s.Ldot is None else np.asarray(s.Ldot, dtype=float).reshape(3).tolist() for s in samples]
         rows = [row + r for row, r in zip(_rateless_columns(samples)._data.tolist(), rates)]
     if not rows:
@@ -353,8 +356,9 @@ def format_trajectory_json(samples) -> str:
 
 
 def write_trajectory_json(samples, path) -> None:
+    text = format_trajectory_json(samples)  # a refused sequence leaves no file behind
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_trajectory_json(samples))
+        fh.write(text)
 
 
 def read_trajectory_json(path) -> Trajectory:

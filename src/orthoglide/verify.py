@@ -46,7 +46,7 @@ from .kinematics import (
     parallelogram_gap,
     robot_jacobian_inverse,
 )
-from .model import TREE_ROWS, closure_positions, model_with_gravity, tree_slots
+from .model import TREE_ROWS, _axes_meeting_point, closure_positions, model_with_gravity, tree_slots
 from .robot_dynamics import (
     _direct_dynamics_many,
     _finite_vectors,
@@ -672,17 +672,8 @@ def _check_power_balance(model, rng, n):
 def _check_isotropic_inverse(model, rng, n):
     # the actuator axes meet at one point; there every chain folds to its
     # reference angles and the velocity map rows become the axis directions
-    A = np.zeros((3, 3))
-    b = np.zeros(3)
-    axes = np.empty((3, 3))
-    for i, pack in enumerate(model._packs):
-        u = pack.axis
-        P = np.eye(3) - np.outer(u, u)
-        A += P
-        b += P @ pack.anchor
-        axes[i] = u
-    K = np.linalg.solve(A, b)
-    _, cq = igm(model, K)
+    axes = np.array([pack.axis for pack in model._packs])
+    _, cq = igm(model, _axes_meeting_point(model))
     Jp_inv = robot_jacobian_inverse(model, cq)
     return float(np.abs(Jp_inv - axes).max()), 1
 

@@ -35,6 +35,8 @@ def test_ik_out_of_reach_reports_domain_error(capsys):
 
 def test_usage_errors_exit_2(capsys):
     assert main(["ik"]) == 2
+    for command in (["ik"], ["idm"], ["ddm"]):  # they print text or JSON only
+        assert main(command + ["--point", "0,0,0.6", "--format", "csv"]) == 2
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
     assert main(["--help"]) == 0

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -47,9 +48,9 @@ def test_frame_transform_matches_elementary_product(rng):
     for _ in range(50):
         gamma, b, alpha, d, theta, r = rng.uniform(-2.0, 2.0, 6)
         q = float(rng.uniform(-1.0, 1.0))
-        rev = MdhJointParams(2, 1, "revolute", gamma, b, alpha, d, theta, r)
-        pri = MdhJointParams(1, 0, "prismatic", gamma, b, alpha, d, theta, r)
-        fix = MdhJointParams(6, 5, "fixed", gamma, b, alpha, d, theta, r)
+        rev = MdhJointParams("revolute", gamma, b, alpha, d, theta, r)
+        pri = MdhJointParams("prismatic", gamma, b, alpha, d, theta, r)
+        fix = MdhJointParams("fixed", gamma, b, alpha, d, theta, r)
         assert np.allclose(frame_transform(rev, q), _compose(gamma, b, alpha, d, theta + q, r), atol=1e-14)
         assert np.allclose(frame_transform(pri, q), _compose(gamma, b, alpha, d, theta, r + q), atol=1e-14)
         assert np.allclose(frame_transform(fix, 0.0), _compose(gamma, b, alpha, d, theta, r), atol=1e-14)
@@ -57,7 +58,7 @@ def test_frame_transform_matches_elementary_product(rng):
 
 def test_frame_transform_pinned_base_row():
     # actuator riding along world x: rotate z by 90deg, lift 0.2, tip around x
-    row = MdhJointParams(1, 0, "prismatic", gamma=math.pi / 2, b=0.2, alpha=math.pi / 2, r=-0.2)
+    row = MdhJointParams("prismatic", gamma=math.pi / 2, b=0.2, alpha=math.pi / 2, r=-0.2)
     T = frame_transform(row, 0.3)
     assert np.allclose(T[:3, 3], [0.1, 0.0, 0.2], atol=1e-15)
     assert np.allclose(T[:3, :3], [[0, 0, 1], [1, 0, 0], [0, 1, 0]], atol=1e-15)
@@ -70,7 +71,9 @@ def test_default_model_geometry(model):
     assert np.allclose(axes, np.eye(3)[[2, 0, 1]], atol=1e-15)
     for chain in model.chains:
         assert chain.d4 == 0.5 and chain.d6 == 0.1 and chain.r2 == 0.05
-        assert chain.b7 == -0.1 and chain.b9 == -0.05 and chain.r5 == -0.05 and chain.d8 == 0.5
+        # the offsets b7, b9, r5 and d8 that close the parallelogram
+        j = chain.joints
+        assert (j[5].b, j[7].b, j[3].r, j[6].d) == (-0.1, -0.05, -0.05, 0.5)
     assert model.platform_mass == 1.0
     assert np.array_equal(model.gravity, [0.0, 0.0, -9.81])
 
@@ -83,7 +86,7 @@ def test_config_round_trip_is_bit_exact():
     assert np.array_equal(m1.gravity, m2.gravity)
     for c1, c2 in zip(m1.chains, m2.chains):
         assert c1.base == c2.base
-        assert c1.d4 == c2.d4 and c1.r2 == c2.r2 and c1.b7 == c2.b7
+        assert c1.d4 == c2.d4 and c1.d6 == c2.d6 and c1.r2 == c2.r2
         for l1, l2 in zip(c1.links, c2.links):
             assert l1.mass == l2.mass
             assert np.array_equal(l1.first_moment, l2.first_moment)
@@ -117,16 +120,33 @@ def test_parse_errors():
         load_model(DEFAULT_CONFIG.replace("[chain3.link7]", "[chain3.link8]"))
 
 
-def test_rail_offset_identities_enforced():
-    bad = DEFAULT_CONFIG.replace("b7 = -0.1", "b7 = -0.1000001")
-    with pytest.raises(ValidationError):
-        load_model(bad)
-    bad = DEFAULT_CONFIG.replace("r5 = -0.05", "r5 = 0.05")
-    with pytest.raises(ValidationError):
-        load_model(bad)
-    bad = DEFAULT_CONFIG.replace("d8 = 0.5", "d8 = 0.51")
-    with pytest.raises(ValidationError):
-        load_model(bad)
+def _pack_bytes(m):
+    """The raw bytes of every kernel table of a model (repr keeps each float's bits)."""
+    return [
+        (repr(p.frames), p.inertia.tobytes(), p.R_base.tobytes(), p.anchor.tobytes(), p.axis.tobytes(), repr((p.d4, p.d6)))
+        for p in m._packs
+    ]
+
+
+def test_config_with_the_old_offset_keys_loads_the_same_tables():
+    # files written before the offsets were derived also carry b7, b9, r5 and d8
+    old = DEFAULT_CONFIG.replace("r2 = 0.05\n", "r2 = 0.05\nb7 = -0.1\nb9 = -0.05\nr5 = -0.05\nd8 = 0.5\n")
+    assert hashlib.sha256(old.encode()).hexdigest() == "9c48ae6f968c802505a831499dc03a8dfdd5c136dd8fa38d3b09529982d5d25a"
+    assert _pack_bytes(load_model(old)) == _pack_bytes(default_model())
+
+
+@pytest.mark.parametrize("kind", ("revolute", "fixed", "spherical"))
+def test_base_must_be_a_prismatic_slider(model, kind):
+    # every kernel drives frame 1 as the slider
+    chains = list(model.chains)
+    chains[1] = dataclasses.replace(chains[1], base=dataclasses.replace(chains[1].base, kind=kind))
+    with pytest.raises(ValidationError, match="chain2: base kind %r" % kind):
+        dataclasses.replace(model, chains=tuple(chains))
+
+
+def test_frame_transform_refuses_an_unknown_kind():
+    with pytest.raises(ValidationError, match="unknown joint kind 'spherical'"):
+        frame_transform(MdhJointParams("spherical"))
 
 
 def test_inertia_validation():
@@ -211,7 +231,8 @@ def test_default_model_builds_fresh_instances():
         ("base_d = 0.0", "base_d = nan"),
         ("base_gamma = 0.0", "base_gamma = inf"),
         ("d6 = 0.1", "d6 = nan"),
-        ("r2 = 0.05\nb7 = -0.1\nb9 = -0.05\nr5 = -0.05", "r2 = inf\nb7 = -inf\nb9 = -inf\nr5 = -inf"),
+        ("r2 = 0.05", "r2 = inf"),
+        ("r2 = 0.05", "r2 = 1e308"),  # finite, but the derived offset -2*r2 is not
         ("[chain1.link1]\nmass = 1.0", "[chain1.link1]\nmass = nan"),
         ("ms = 0.0, 0.025, 0.0", "ms = 0.0, inf, 0.0"),
         ("inertia = 0.001, 0.0, 0.0", "inertia = 0.001, nan, 0.0"),
@@ -233,7 +254,7 @@ def _all_floats(m):
     values = [*m.gravity, m.platform_mass]
     for chain in m.chains:
         values += [getattr(chain.base, k) for k in ("gamma", "b", "alpha", "d", "theta", "r")]
-        values += [chain.d4, chain.d6, chain.r2, chain.b7, chain.b9, chain.r5, chain.d8]
+        values += [chain.d4, chain.d6, chain.r2]
         for link in chain.links:
             values += [link.mass, *link.first_moment, *link.inertia.ravel()]
     return np.array(values, dtype=float)
@@ -242,8 +263,8 @@ def _all_floats(m):
 @st.composite
 def _valid_models(draw):
     """The default model with random finite values wherever validation allows
-    any: gravity, platform mass, each chain's base theta, bar lengths and rail
-    offset, and each link's mass, first moment and diagonal inertia."""
+    any: gravity, platform mass, each chain's base theta, d4, d6 and r2, and
+    each link's mass, first moment and diagonal inertia."""
     m = default_model()
     chains = []
     for chain in m.chains:
@@ -259,7 +280,7 @@ def _valid_models(draw):
         )
         base = dataclasses.replace(chain.base, theta=draw(_FINITE))
         chains.append(dataclasses.replace(
-            chain, base=base, d4=d4, d8=d4, d6=draw(st.floats(0.0, 1e300)), r2=r2, b7=-2.0 * r2, b9=-r2, r5=-r2, links=links
+            chain, base=base, d4=d4, d6=draw(st.floats(0.0, 1e300)), r2=r2, links=links
         ))
     gravity = draw(st.tuples(_FINITE, _FINITE, _FINITE))
     return dataclasses.replace(m, chains=tuple(chains), gravity=gravity, platform_mass=draw(_POSITIVE))
@@ -285,7 +306,7 @@ _FIELDS = tuple(
 
 @pytest.mark.parametrize("bad", ("nan", "-inf"))
 def test_every_non_finite_field_is_a_validation_error(bad):
-    # every field, not a sample: the 316 numbers load in under a second
+    # every field, not a sample: the 304 numbers load in under a second
     lines = DEFAULT_CONFIG.splitlines()
     for k, c in _FIELDS:
         key, values = lines[k].split(" = ")

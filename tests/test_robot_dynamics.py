@@ -5,6 +5,7 @@ import pytest
 
 from orthoglide import (
     NumericalError,
+    SimConfig,
     assemble_robot_dyn,
     cartesian_chain_model,
     chain_bias_h,
@@ -18,7 +19,9 @@ from orthoglide import (
     inverse_dynamics,
     lagrangian_idm_oracle,
     platform_force,
+    robot_dynamics,
     robot_jacobian_inverse,
+    simulate,
 )
 from orthoglide.verify import sample_platform_points
 
@@ -127,3 +130,18 @@ def test_non_finite_state_is_numerical_error(model, fn, arg, name, bad):
     args[arg][1] = bad
     with pytest.raises(NumericalError, match="non-finite %s" % name):
         fn(model, *args)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_velocity_terms_are_numerical_error(model):
+    # the joint rates stay finite, but the velocity terms of the legs' bias overflow
+    p, v, gamma = (0.0, 0.0, 0.6), (1e300, -1e300, 0.0), (0.0, 0.0, 0.0)
+    with pytest.raises(NumericalError, match="non-finite chain 1 bias efforts") as scalar:
+        direct_dynamics(model, p, v, gamma)
+    P, V, Gamma = (np.array([x, x]) for x in (p, v, gamma))
+    P[0, 2], V[0] = 0.59, 0.0  # a good state first
+    with pytest.raises(NumericalError) as batch:
+        robot_dynamics._direct_dynamics_many(model, P, V, Gamma)
+    assert str(batch.value) == str(scalar.value)
+    with pytest.raises(NumericalError, match="bias efforts"):
+        simulate(model, p, v, config=SimConfig(dt=1e-3, t_end=0.002))

@@ -435,9 +435,15 @@ def test_json_text_is_the_per_sample_text(model, tmp_path):
     rateless = read_trajectory_csv(tmp_path / "run.csv")
     signed = Trajectory(-0.0 * traj.t, -traj.P, 0.0 * traj.V, -0.0 * traj.A, traj.L, -0.0 * traj.Ldot, traj.Gamma)
     mixed = [rateless[0]] + traj[1:]
-    for samples in (traj, rateless, signed, list(traj), list(rateless), mixed, [], Trajectory([], [], [], [], [], None, [])):
+    for samples in (traj, rateless, signed, list(traj), list(rateless), [], Trajectory([], [], [], [], [], None, [])):
         assert orthoglide.format_trajectory_json(samples) == _json_per_sample(samples)
     assert orthoglide.format_trajectory_csv(traj) == (tmp_path / "run.csv").read_text()
+    # read_trajectory_json refuses rates on some samples only, so no such file is written
+    with pytest.raises(ValidationError, match="Ldot must be given for every sample or for none"):
+        orthoglide.format_trajectory_json(mixed)
+    with pytest.raises(ValidationError):
+        write_trajectory_json(mixed, tmp_path / "mixed.json")
+    assert not (tmp_path / "mixed.json").exists()
 
 
 def test_json_text_spells_non_finite_floats_as_json(model):
