@@ -1,13 +1,14 @@
 """Hot numerical kernels: frame placement, tree Newton-Euler, kinetic energy.
 
 Plain Python, one scalar operation at a time. tree_newton_euler is the
-general sweep (rates, accelerations, gravity, platform load); inverse
-dynamics runs it. Direct dynamics runs tree_direct_efforts, one sweep on
-plain floats that places each body once and carries four special cases
-of it together, bit for bit the general sweep's efforts: the sweep at
-zero acceleration with no load (the velocity and gravity efforts) and the
-sweep at rest for each of the three unit accelerations (the columns of
-the joint-space inertia). chain_kinetic, the velocity recursion for the
+general sweep (rates, accelerations, gravity); inverse dynamics runs it.
+No platform load enters a chain here: the robot layer applies it through
+the Jacobian transposes. Direct dynamics runs tree_direct_efforts, one
+sweep on plain floats that places each body once and carries four special
+cases of it together, bit for bit the general sweep's efforts: the sweep
+at zero acceleration (the velocity and gravity efforts) and the sweep at
+rest for each of the three unit accelerations (the columns of the
+joint-space inertia). chain_kinetic, the velocity recursion for the
 kinetic energy, also runs on plain floats. model.py packs each chain once
 into the two tables these functions read:
 
@@ -38,7 +39,6 @@ import numpy as np
 _JIT = False  # the kernels are never compiled; environment stamps read this
 
 REVOLUTE, PRISMATIC, FIXED = 0, 1, 2
-_PLATFORM_ROW = 5  # frame 6, where the platform load acts
 
 
 def place(row, qj):
@@ -109,19 +109,16 @@ def chain_frames(frames, q):
     return R, O
 
 
-def tree_newton_euler(frames, inertia, q, qd, qdd, g, fext):
+def tree_newton_euler(frames, inertia, q, qd, qdd, g):
     """Recursive Newton-Euler sweep over one chain tree (one row per body).
 
-    Gravity is folded into the base acceleration (a_root = -g). fext is the
-    force the chain applies to the platform, expressed in the world frame;
-    its reaction acts at the origin of frame 6. Returns the efforts of the
-    jointed frames in row order: frames 1..5, then frame 7. For a batch the
-    scratch rows carry a trailing axis of q[0]'s shape.
+    Gravity is folded into the base acceleration (a_root = -g). Returns the
+    efforts of the jointed frames in row order: frames 1..5, then frame 7.
+    For a batch the scratch rows carry a trailing axis of q[0]'s shape.
     """
     n = len(inertia)
     shape = getattr(q[0], "shape", ())
     Rl = [None] * n
-    R0 = [None] * n
     w = np.zeros((n, 3) + shape)
     wd = np.zeros((n, 3) + shape)
     a = np.zeros((n, 3) + shape)
@@ -139,12 +136,10 @@ def tree_newton_euler(frames, inertia, q, qd, qdd, g, fext):
             aix = -g[0]
             aiy = -g[1]
             aiz = -g[2]
-            R0[j] = L[:9]
         else:
             wix, wiy, wiz = w[p]
             wdix, wdiy, wdiz = wd[p]
             aix, aiy, aiz = a[p]
-            R0[j] = _rot_mul(R0[p], L)
 
         # parent-frame intermediates
         # c = wi x pl
@@ -236,13 +231,6 @@ def tree_newton_euler(frames, inertia, q, qd, qdd, g, fext):
         nj[1] += Ny
         nj[2] += Nz
 
-        if j == _PLATFORM_ROW:
-            # reaction of the platform force, applied at the frame-6 origin
-            R = R0[j]
-            fj[0] += R[0] * fext[0] + R[3] * fext[1] + R[6] * fext[2]
-            fj[1] += R[1] * fext[0] + R[4] * fext[1] + R[7] * fext[2]
-            fj[2] += R[2] * fext[0] + R[5] * fext[1] + R[8] * fext[2]
-
         p = frames[j][0]
         if p >= 0:
             L = Rl[j]
@@ -277,16 +265,16 @@ def tree_direct_efforts(frames, inertia, q, qd, g, units):
     """The efforts direct dynamics needs, from one sweep over one chain tree.
 
     Each body is placed once and its inertia row read once for four lanes:
-    the bias lane, tree_newton_euler at zero joint accelerations with no
-    load (velocity and gravity efforts), and one rest lane per vector in
-    units, tree_newton_euler at that acceleration with zero rates, gravity
-    and load (a column of the joint-space inertia). Returns (bias efforts,
+    the bias lane, tree_newton_euler at zero joint accelerations (velocity
+    and gravity efforts), and one rest lane per vector in units,
+    tree_newton_euler at that acceleration with zero rates and gravity (a
+    column of the joint-space inertia). Returns (bias efforts,
     [rest-lane efforts]), laid out as tree_newton_euler's. Row 0 must be
     the root and a slider, as model.py wires every chain.
 
     Each lane keeps tree_newton_euler's expressions and order on floats and
     leaves out only terms that are exact signed zeros: what zero rates,
-    accelerations, gravity or load enter, and the root's moments and
+    accelerations or gravity enter, and the root's moments and
     sideways force, which no effort reads. In a rest lane None marks a body
     whose angular or whole acceleration is zero, as no joint up to it moves
     (the slider's column has no angular terms at all). A left-out term can

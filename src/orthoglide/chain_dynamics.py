@@ -6,6 +6,10 @@ coordinates are slaved to the three free joint values by the parallelogram
 closure. The closure is linear with a constant offset, so reducing the tree
 model to the free coordinates is a plain congruence by the constant matrix
 G below; no extra velocity terms appear.
+
+Gravity is the model's field (model_with_gravity gives a copy under another).
+No platform load enters a leg here: the robot layer applies it through the
+Jacobian transposes, and chain_reaction_force gives one leg's share.
 """
 
 from __future__ import annotations
@@ -79,24 +83,15 @@ def _reduce3(gam):
     return np.array(_free_efforts(gam))
 
 
-def _gravity(model, gravity):
-    return model.gravity if gravity is None else np.asarray(gravity, dtype=float).reshape(3)
-
-
-def _sweep(model, i, q, qd, qdd, gravity=None, f_ext=None):
+def _sweep(model, i, q, qd, qdd):
     """Tree efforts of chain i (frames 1..5, 7) for per-frame q, qd, qdd."""
     pack = model._packs[i]
-    fe = _ZERO3 if f_ext is None else np.asarray(f_ext, dtype=float).reshape(3)
-    return _kernels.tree_newton_euler(pack.frames, pack.inertia, q, qd, qdd, _gravity(model, gravity), fe)
+    return _kernels.tree_newton_euler(pack.frames, pack.inertia, q, qd, qdd, model.gravity)
 
 
-def tree_newton_euler(model, i, ts: TreeState, gravity=None, f_ext=None):
-    """Efforts at the six tree joints of chain i for the given tree state.
-
-    gravity defaults to the model field; f_ext is a world-frame force the
-    chain applies to the platform (its reaction loads the attachment body).
-    """
-    return np.array(_sweep(model, i, tree_slots(ts.q), tree_slots(ts.qd), tree_slots(ts.qdd), gravity, f_ext))
+def tree_newton_euler(model, i, ts: TreeState):
+    """Efforts at the six tree joints of chain i for the given tree state, under the model's gravity."""
+    return np.array(_sweep(model, i, tree_slots(ts.q), tree_slots(ts.qd), tree_slots(ts.qdd)))
 
 
 def _finite_closure(expand, name, v):
@@ -106,25 +101,24 @@ def _finite_closure(expand, name, v):
     return slots
 
 
-def chain_torques_H(model, i, q, qd, qdd, gravity=None, f_ext=None):
-    """Efforts at the three free joints of chain i (inverse dynamics)."""
+def chain_torques_H(model, i, q, qd, qdd):
+    """Efforts at the three free joints of chain i (inverse dynamics) with no platform load;
+    a world-frame force F that the chain applies to the platform adds chain_jacobian(model, i, q).T @ F."""
     gam = _sweep(
         model,
         i,
         _finite_closure(closure_positions, "q", q),
         _finite_closure(closure_rates, "qd", qd),
         _finite_closure(closure_rates, "qdd", qdd),
-        gravity,
-        f_ext,
     )
     return _reduce3(gam)
 
 
-def _leg_sweep(model, i, q, qd, gravity, units):
+def _leg_sweep(model, i, q, qd, units):
     """_kernels.tree_direct_efforts of chain i at free-coordinate state (q, qd)."""
     pack = model._packs[i]
     q9, qd9 = _finite_closure(closure_positions, "q", q), _finite_closure(closure_rates, "qd", qd)
-    return _kernels.tree_direct_efforts(pack.frames, pack.inertia, q9, qd9, _gravity(model, gravity), units)
+    return _kernels.tree_direct_efforts(pack.frames, pack.inertia, q9, qd9, model.gravity, units)
 
 
 def _inertia(i, columns):
@@ -145,28 +139,29 @@ def chain_inertia_A(model, i, q):
     """3x3 joint-space inertia of chain i, column by column.
 
     Column k is the torque vector for a unit acceleration of joint k with
-    zero rates, zero gravity and no load: a rest lane of the fused sweep
+    zero rates and zero gravity: a rest lane of the fused sweep
     (_kernels.tree_direct_efforts, run at rest), bit for bit the full
-    Newton-Euler sweep's. The raw columns must agree with their transpose
+    Newton-Euler sweep's; the model's gravity enters only the bias lane,
+    which is discarded. The raw columns must agree with their transpose
     to 1e-8 relative or a NumericalError is raised; the returned matrix is
     the symmetrized version.
     """
-    return _inertia(i, _leg_sweep(model, i, q, _ZERO3, _ZERO3, _UNIT_ACCELERATIONS)[1])
+    return _inertia(i, _leg_sweep(model, i, q, _ZERO3, _UNIT_ACCELERATIONS)[1])
 
 
-def chain_bias_h(model, i, q, qd, gravity=None):
+def chain_bias_h(model, i, q, qd):
     """Velocity and gravity torques of chain i (zero-acceleration efforts).
 
     The bias lane of the fused sweep (_kernels.tree_direct_efforts) run
     alone, bit for bit the full Newton-Euler sweep's at zero joint
-    accelerations and no load.
+    accelerations, under the model's gravity.
     """
-    return _reduce3(_leg_sweep(model, i, q, qd, gravity, ())[0])
+    return _reduce3(_leg_sweep(model, i, q, qd, ())[0])
 
 
 def _leg_dynamics(model, i, q, qd):
     """(chain_inertia_A, chain_bias_h) of chain i from one fused sweep, bit for bit."""
-    bias, columns = _leg_sweep(model, i, q, qd, None, _UNIT_ACCELERATIONS)
+    bias, columns = _leg_sweep(model, i, q, qd, _UNIT_ACCELERATIONS)
     if not math.isfinite(sum(bias)):
         # finite rates whose velocity terms overflow; refuse before numpy warns on them
         require_finite("chain %d bias efforts" % (i + 1), bias)

@@ -32,7 +32,8 @@ derived, as the loop closes only with b7 = -2*r2, b9 = r5 = -r2, d8 = d4;
 the loader ignores those keys in older files. Inertia sections
 give mass (kg), ms (first moment m*c, kg m, 3 numbers) and inertia (9
 numbers, row major, kg m^2), both about the link frame. An optional
-[verify] section overrides verification tolerances by check name.
+[verify] section overrides verification tolerances by check name; an
+unknown name is refused.
 """
 
 from __future__ import annotations
@@ -284,7 +285,8 @@ def load_model(source) -> RobotModel:
 
     A string containing a newline or a '[' is treated as config text,
     anything else as a filesystem path. Raises ParseError for malformed
-    input and ValidationError for a model that parses but is inconsistent.
+    input and ValidationError for a model that parses but is inconsistent,
+    or whose [verify] section names a check that does not exist.
     """
     if isinstance(source, os.PathLike):
         text = os.fspath(source)
@@ -336,7 +338,10 @@ def load_model(source) -> RobotModel:
 
     overrides = {}
     if cp.has_section("verify"):
+        from .verify import CHECK_NAMES  # verify imports this module
         for key in cp.options("verify"):
+            if key not in CHECK_NAMES:
+                raise ValidationError("[verify]: unknown verification check '%s'" % key)
             overrides[key] = _get_float(cp, "verify", key)
 
     model = RobotModel(

@@ -280,13 +280,17 @@ def simulate(model, p0, v0, torque_fn=None, config: SimConfig | None = None) -> 
 
 
 def _rateless_columns(samples) -> Trajectory:
-    """The columns of any sequence of samples, without the actuator rates."""
+    """The columns of a sequence of TrajectorySample, without the actuator rates;
+    ValidationError names an element that is not one."""
+    for k, s in enumerate(samples):
+        if not isinstance(s, TrajectorySample):
+            raise ValidationError("trajectory element %d is a %s, not a TrajectorySample" % (k, type(s).__name__))
     t, P, V, A, L, Gamma = ([getattr(s, name) for s in samples] for name in ("t", "P", "V", "A", "L", "Gamma"))
     return Trajectory(t, P, V, A, L, None, Gamma)
 
 
 def format_trajectory_csv(samples) -> str:
-    """CSV text of the samples, as write_trajectory_csv stores it."""
+    """CSV text of the samples, as write_trajectory_csv stores it; ValidationError for a non-sample."""
     if not isinstance(samples, Trajectory):
         # the CSV keeps no rates
         samples = _rateless_columns(samples)
@@ -295,8 +299,9 @@ def format_trajectory_csv(samples) -> str:
 
 
 def write_trajectory_csv(samples, path) -> None:
+    text = format_trajectory_csv(samples)  # a refused sequence leaves no file behind
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_trajectory_csv(samples))
+        fh.write(text)
 
 
 def read_trajectory_csv(path) -> Trajectory:
@@ -333,16 +338,16 @@ def format_trajectory_json(samples) -> str:
 
     The text is json.dumps(..., indent=1) of {"samples": [...]} plus a
     newline, written without the pure-Python encoder that indent selects.
-    A sequence that gives rates (Ldot) for some samples only raises
-    ValidationError.
+    A sequence that gives rates (Ldot) for some samples only, or holds an
+    element that is not a TrajectorySample, raises ValidationError.
     """
     if isinstance(samples, Trajectory):
         rows = samples._data.tolist()
     else:
+        rows = _rateless_columns(samples)._data.tolist()
         if len({s.Ldot is None for s in samples}) > 1:  # read_trajectory_json refuses that file
             raise ValidationError("Ldot must be given for every sample or for none")
-        rates = [[] if s.Ldot is None else np.asarray(s.Ldot, dtype=float).reshape(3).tolist() for s in samples]
-        rows = [row + r for row, r in zip(_rateless_columns(samples)._data.tolist(), rates)]
+        rows = [row + ([] if s.Ldot is None else s.Ldot.tolist()) for row, s in zip(rows, samples)]
     if not rows:
         return '{\n "samples": []\n}\n'
     text = ",\n".join(

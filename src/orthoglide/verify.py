@@ -33,7 +33,7 @@ from .chain_dynamics import (
     closure_expand,
     tree_newton_euler,
 )
-from .errors import NumericalError, OrthoglideError, OutOfWorkspace
+from .errors import NumericalError, OrthoglideError, OutOfWorkspace, ValidationError
 from .kinematics import (
     chain_forward_point,
     chain_frames,
@@ -342,12 +342,17 @@ def _rel(delta, ref) -> float:
     return float(np.abs(delta).max() / (1.0 + np.abs(ref).max()))
 
 
+def _worse(worst, err):
+    """max(worst, err), except that a NaN is kept, so a NaN error fails its check."""
+    return err if err > worst or err != err else worst
+
+
 def _check_igm_round_trip(model, rng, n):
     worst = 0.0
     for p in sample_platform_points(model, rng, n):
         _, chain_q = igm(model, p)
         for i in range(3):
-            worst = max(worst, float(np.abs(chain_forward_point(model, i, chain_q[i]) - p).max()))
+            worst = _worse(worst, float(np.abs(chain_forward_point(model, i, chain_q[i]) - p).max()))
     return worst, n
 
 
@@ -363,7 +368,7 @@ def _check_jacobian_fd(model, rng, n):
             e = np.zeros(3)
             e[k] = h
             Jfd[:, k] = (chain_forward_point(model, i, q + e) - chain_forward_point(model, i, q - e)) / (2.0 * h)
-        worst = max(worst, _rel(J - Jfd, J))
+        worst = _worse(worst, _rel(J - Jfd, J))
     return worst, n
 
 
@@ -374,7 +379,7 @@ def _check_jacobian_inverse_identity(model, rng, n):
         i = int(rng.integers(0, 3))
         q = _sample_chain_q(rng)
         prod = chain_jacobian(model, i, q) @ chain_jacobian_inverse(model, i, q)
-        worst = max(worst, float(np.abs(prod - eye).max()))
+        worst = _worse(worst, float(np.abs(prod - eye).max()))
     return worst, n
 
 
@@ -385,7 +390,7 @@ def _check_robot_rows(model, rng, n):
         Jp_inv = robot_jacobian_inverse(model, chain_q)
         for i in range(3):
             row = chain_jacobian_inverse(model, i, chain_q[i])[0]
-            worst = max(worst, float(np.abs(Jp_inv[i] - row).max()))
+            worst = _worse(worst, float(np.abs(Jp_inv[i] - row).max()))
     return worst, n
 
 
@@ -398,7 +403,7 @@ def _check_jacobian_dot_fd(model, rng, n):
         qd = rng.normal(0.0, 1.0, 3)
         Jd = chain_jacobian_dot(model, i, q, qd)
         Jfd = (chain_jacobian(model, i, q + h * qd) - chain_jacobian(model, i, q - h * qd)) / (2.0 * h)
-        worst = max(worst, _rel(Jd - Jfd, Jd))
+        worst = _worse(worst, _rel(Jd - Jfd, Jd))
     return worst, n
 
 
@@ -419,8 +424,8 @@ def _check_acceleration_consistency(model, rng, n):
                 qdd = ik_acceleration(model, i, cq[i], cqd[i], A)
                 qdd_fd = (cqp[i] - 2.0 * cq[i] + cqm[i]) / (h * h)
                 qd_fd = (cqp[i] - cqm[i]) / (2.0 * h)
-                worst = max(worst, _rel(qdd - qdd_fd, qdd))
-                worst = max(worst, _rel(cqd[i] - qd_fd, cqd[i]))
+                worst = _worse(worst, _rel(qdd - qdd_fd, qdd))
+                worst = _worse(worst, _rel(cqd[i] - qd_fd, cqd[i]))
             used += 1
     return worst, used
 
@@ -429,7 +434,7 @@ def _check_closure_gap(model, rng, n):
     worst = 0.0
     for _ in range(n):
         i = int(rng.integers(0, 3))
-        worst = max(worst, parallelogram_gap(model, i, _sample_chain_q(rng)))
+        worst = _worse(worst, parallelogram_gap(model, i, _sample_chain_q(rng)))
     return worst, n
 
 
@@ -438,13 +443,13 @@ def _check_wrist_axis(model, rng, n):
     for _ in range(n):
         i = int(rng.integers(0, 3))
         R, _ = chain_frames(model, i, _sample_chain_q(rng))
-        worst = max(worst, float(np.abs(R[4][:, 0] - model._packs[i].axis).max()))
+        worst = _worse(worst, float(np.abs(R[4][:, 0] - model._packs[i].axis).max()))
     return worst, n
 
 
 def _check_tree_inertia_crb(model, rng, n):
     worst = 0.0
-    zero_g = np.zeros(3)
+    m0 = model_with_gravity(model, (0.0, 0.0, 0.0))
     for _ in range(n):
         i = int(rng.integers(0, 3))
         q6 = _sample_tree_q(rng)
@@ -454,8 +459,8 @@ def _check_tree_inertia_crb(model, rng, n):
             e = np.zeros(6)
             e[k] = 1.0
             ts = TreeState(q=q6, qd=np.zeros(6), qdd=e)
-            M_ne[:, k] = tree_newton_euler(model, i, ts, gravity=zero_g)
-        worst = max(worst, _rel(M_ne - M_crb, M_crb))
+            M_ne[:, k] = tree_newton_euler(m0, i, ts)
+        worst = _worse(worst, _rel(M_ne - M_crb, M_crb))
     return worst, n
 
 
@@ -472,7 +477,7 @@ def _check_gravity_gradient(model, rng, n):
             e = np.zeros(6)
             e[k] = h
             grad[k] = (_tree_potential(model, i, q6 + e) - _tree_potential(model, i, q6 - e)) / (2.0 * h)
-        worst = max(worst, _rel(gam - grad, gam))
+        worst = _worse(worst, _rel(gam - grad, gam))
     return worst, n
 
 
@@ -485,13 +490,13 @@ def _check_torque_decomposition(model, rng, n):
         qdd = rng.normal(0.0, 2.0, 3)
         H = chain_torques_H(model, i, q, qd, qdd)
         recomposed = chain_inertia_A(model, i, q) @ qdd + chain_bias_h(model, i, q, qd)
-        worst = max(worst, _rel(H - recomposed, H))
+        worst = _worse(worst, _rel(H - recomposed, H))
     return worst, n
 
 
 def _check_inertia_symmetry(model, rng, n):
     worst = 0.0
-    zero_g = np.zeros(3)
+    m0 = model_with_gravity(model, (0.0, 0.0, 0.0))
     for _ in range(n):
         i = int(rng.integers(0, 3))
         q = _sample_chain_q(rng)
@@ -499,8 +504,8 @@ def _check_inertia_symmetry(model, rng, n):
         for k in range(3):
             qdd = np.zeros(3)
             qdd[k] = 1.0
-            A[:, k] = G_T @ tree_newton_euler(model, i, closure_expand(q, None, qdd), gravity=zero_g)
-        worst = max(worst, float(np.abs(A - A.T).max() / max(1.0, np.abs(A).max())))
+            A[:, k] = G_T @ tree_newton_euler(m0, i, closure_expand(q, None, qdd))
+        worst = _worse(worst, float(np.abs(A - A.T).max() / max(1.0, np.abs(A).max())))
     return worst, n
 
 
@@ -510,12 +515,12 @@ def _check_inertia_spd(model, rng, n):
         i = int(rng.integers(0, 3))
         A = chain_inertia_A(model, i, _sample_chain_q(rng))
         lam = float(np.linalg.eigvalsh(A).min())
-        worst = max(worst, max(0.0, -lam) / max(1.0, float(np.abs(A).max())))
+        worst = _worse(worst, _worse(0.0, -lam) / max(1.0, float(np.abs(A).max())))
     for p in sample_platform_points(model, rng, max(1, n // 4)):
         _, cq = igm(model, p)
         A_robot, _ = assemble_robot_dyn(model, cq, np.zeros((3, 3)))
         lam = float(np.linalg.eigvalsh(A_robot).min())
-        worst = max(worst, max(0.0, -lam) / max(1.0, float(np.abs(A_robot).max())))
+        worst = _worse(worst, _worse(0.0, -lam) / max(1.0, float(np.abs(A_robot).max())))
     return worst, n
 
 
@@ -527,7 +532,7 @@ def _check_chain_kinetic_quadratic(model, rng, n):
         qd = rng.normal(0.0, 1.0, 3)
         T = chain_kinetic_energy(model, i, q, qd)
         Tq = 0.5 * float(qd @ chain_inertia_A(model, i, q) @ qd)
-        worst = max(worst, abs(T - Tq) / (1.0 + abs(T)))
+        worst = _worse(worst, abs(T - Tq) / (1.0 + abs(T)))
     return worst, n
 
 
@@ -540,7 +545,7 @@ def _check_robot_kinetic_quadratic(model, rng, n):
         A_robot, _ = assemble_robot_dyn(model, cq, cqd)
         T = kinetic_energy(model, p, v)
         Tq = 0.5 * float(v @ A_robot @ v)
-        worst = max(worst, abs(T - Tq) / (1.0 + abs(T)))
+        worst = _worse(worst, abs(T - Tq) / (1.0 + abs(T)))
     return worst, n
 
 
@@ -549,7 +554,7 @@ def _check_lagrangian(model, rng, n):
     worst = 0.0
     for p, v, a, gam in zip(P, V, A, _inverse_dynamics_many(model, P, V, A)):
         gam_oracle = lagrangian_idm_oracle(model, p, v, a)
-        worst = max(worst, _rel(gam - gam_oracle, gam))
+        worst = _worse(worst, _rel(gam - gam_oracle, gam))
     return worst, n
 
 
@@ -564,7 +569,7 @@ def _check_reaction_balance(model, rng, n):
         for i in range(3):
             qdd = ik_acceleration(model, i, cq[i], cqd[i], a)
             total += chain_reaction_force(model, i, cq[i], cqd[i], qdd, gam[i])
-        worst = max(worst, float(np.abs(total - platform_force(model, a)).max()))
+        worst = _worse(worst, float(np.abs(total - platform_force(model, a)).max()))
     return worst, n
 
 
@@ -577,7 +582,7 @@ def _check_reaction_unit_column(model, rng, n):
         Jp_inv = robot_jacobian_inverse(m0, cq)
         for i in range(3):
             f = chain_reaction_force(m0, i, cq[i], zero, zero, 1.0)
-            worst = max(worst, float(np.abs(f - Jp_inv[i]).max()))
+            worst = _worse(worst, float(np.abs(f - Jp_inv[i]).max()))
     return worst, n
 
 
@@ -585,7 +590,7 @@ def _check_idm_ddm_round_trip(model, rng, n):
     P, V, A = map(np.array, zip(*(_sample_state(model, rng) for _ in range(n))))
     worst = 0.0
     for a, a2 in zip(A, _direct_dynamics_many(model, P, V, _inverse_dynamics_many(model, P, V, A))):
-        worst = max(worst, _rel(a2 - a, a))
+        worst = _worse(worst, _rel(a2 - a, a))
     return worst, n
 
 
@@ -602,7 +607,7 @@ def _check_static_gradient(model, rng, n):
             grad[k] = (potential_energy(model, p + e) - potential_energy(model, p - e)) / (2.0 * h)
         _, cq = igm(model, p)
         expected = np.linalg.solve(robot_jacobian_inverse(model, cq).T, grad)
-        worst = max(worst, _rel(gam - expected, gam))
+        worst = _worse(worst, _rel(gam - expected, gam))
     return worst, n
 
 
@@ -647,7 +652,7 @@ def _check_tracking(model, rng, n):
         raise NumericalError("tracking run stopped early: %s" % res.stop_reason)
     worst = 0.0
     for s in res.samples:
-        worst = max(worst, float(np.linalg.norm(s.P - path(s.t)[0])))
+        worst = _worse(worst, float(np.linalg.norm(s.P - path(s.t)[0])))
     return worst, len(res.samples)
 
 
@@ -665,7 +670,7 @@ def _check_power_balance(model, rng, n):
     worst = 0.0
     for k in range(1, len(samples) - 1):
         dEdt = (E[k + 1] - E[k - 1]) / (2.0 * dt)
-        worst = max(worst, abs(dEdt - P_in[k]) / scale)
+        worst = _worse(worst, abs(dEdt - P_in[k]) / scale)
     return worst, len(samples) - 2
 
 
@@ -713,23 +718,24 @@ CHECK_NAMES = tuple(name for name, _, _, _ in _CHECKS)
 def run_verification(model, seed=DEFAULT_SEED, n_samples=100, tolerances=None, checks=None):
     """Run the check battery and return a list of OracleReport.
 
-    checks, when given, restricts the battery to those names. Each check
-    draws from its own seeded stream, so a subset run reproduces exactly
-    what the full run sees. A check that raises a package error, a numpy
-    linear-algebra error or an ArithmeticError records an infinite error
-    instead of aborting the battery. Each report carries the check's wall
-    time.
+    checks, when given, restricts the battery to those names; an unknown
+    name there, in tolerances or in the model's overrides raises
+    ValidationError. Each check draws from its own seeded stream, so a
+    subset run reproduces exactly what the full run sees. A check that
+    raises a package error, a numpy linear-algebra error or an
+    ArithmeticError records an infinite error; a NaN error is reported as
+    NaN. Either fails the check. Each report carries its wall time.
     """
     tols = dict(TOLERANCES)
     for src in (model.verify_overrides, tolerances or {}):
         for key, val in src.items():
             if key not in tols:
-                raise NumericalError("unknown verification check '%s'" % key)
+                raise ValidationError("unknown verification check '%s'" % key)
             tols[key] = float(val)
     if checks is not None:
         unknown = [c for c in checks if c not in TOLERANCES]
         if unknown:
-            raise NumericalError("unknown verification check '%s'" % unknown[0])
+            raise ValidationError("unknown verification check '%s'" % unknown[0])
         selected = [row for row in _CHECKS if row[0] in set(checks)]
     else:
         selected = list(_CHECKS)

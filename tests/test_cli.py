@@ -126,6 +126,11 @@ def test_verify_subset(capsys):
     assert "pass" in out
 
 
+def test_verify_misspelt_check_is_a_validation_error(capsys):
+    assert main(["verify", "--samples", "1", "--checks", "isotropic_invers"]) == 1
+    assert capsys.readouterr().err.startswith("ERROR:ValidationError:")
+
+
 def test_verify_json_report(tmp_path, capsys):
     rep = tmp_path / "report.json"
     rc = main([

@@ -296,6 +296,16 @@ def test_round_trips_keep_every_column_bit_for_bit(model, tmp_path):
     assert (tmp_path / "list.csv").read_bytes() == (tmp_path / "run.csv").read_bytes()
 
 
+@pytest.mark.parametrize("write", (write_trajectory_csv, write_trajectory_json))
+def test_writers_refuse_a_non_sample_and_leave_no_file(model, tmp_path, write):
+    first = simulate(model, P_HOME, (0.01, 0.0, 0.0), config=SimConfig(dt=1e-3, t_end=0.001)).samples[0]
+    for k, samples in enumerate(([object()], [first, {"t": 0.0}])):
+        path = tmp_path / ("bad%d" % k)
+        with pytest.raises(ValidationError, match="not a TrajectorySample"):
+            write(samples, path)
+        assert not path.exists()
+
+
 def test_workspace_exit_prefix_is_trimmed(model):
     cfg = SimConfig(dt=1e-3, t_end=2.0)
     res = simulate(model, P_HOME, (0.0, 0.0, 0.0), torque_fn=lambda t: np.array([0.0, 300.0, 0.0]), config=cfg)

@@ -8,6 +8,7 @@ from orthoglide import (
     CHECK_NAMES,
     DEFAULT_CONFIG,
     NumericalError,
+    ValidationError,
     chain_kinetic_energy,
     chain_potential_energy,
     closure_expand,
@@ -61,10 +62,39 @@ def test_report_table_mentions_every_check(fast_reports):
 
 def test_unknown_check_name_rejected():
     model = default_model()
-    with pytest.raises(NumericalError):
+    with pytest.raises(ValidationError):
         run_verification(model, n_samples=1, checks=("igm_forward_round_trip", "nope"))
-    with pytest.raises(NumericalError):
+    with pytest.raises(ValidationError):
         run_verification(model, n_samples=1, tolerances={"nope": 1.0})
+    with pytest.raises(ValidationError, match="nope"):
+        run_verification(dataclasses.replace(model, verify_overrides={"nope": 1.0}), n_samples=1)
+
+
+def test_config_refuses_an_unknown_verify_key():
+    with pytest.raises(ValidationError, match="isotropic_invers"):
+        load_model(DEFAULT_CONFIG + "\n[verify]\nisotropic_invers = 1e-30\n")
+
+
+def test_nan_sample_error_fails_its_check(monkeypatch):
+    # the largest-error fold must keep a NaN sample error, which max(worst, nan) would drop
+    chain_jacobian_dot = verify.chain_jacobian_dot
+    monkeypatch.setattr(verify, "parallelogram_gap", lambda model, i, q: math.nan)
+    monkeypatch.setattr(verify, "chain_jacobian_dot", lambda *args: chain_jacobian_dot(*args) * math.nan)
+    by_name = reports_by_name(
+        run_verification(default_model(), seed=7, n_samples=5, checks=("closure_gap", "jacobian_dot_fd", "jacobian_fd"))
+    )
+    for name in ("closure_gap", "jacobian_dot_fd"):
+        rep = by_name[name]
+        assert math.isnan(rep.max_rel_err) and not rep.passed and rep.samples > 0
+    assert by_name["jacobian_fd"].passed
+
+
+def test_nan_fold_keeps_the_first_nan_and_the_max_bits():
+    assert verify._worse(0.0, 1.5) == 1.5
+    assert math.isnan(verify._worse(0.0, math.nan))
+    assert math.isnan(verify._worse(math.nan, 2.0))
+    # as max(): the earlier of two equal values, so a -0.0 never replaces +0.0
+    assert math.copysign(1.0, verify._worse(0.0, -0.0)) == 1.0
 
 
 def test_tolerance_override_flips_verdict():
