@@ -16,7 +16,9 @@ into the two tables these functions read:
            1..9), each (parent, kind, cos gamma, sin gamma, cos alpha,
            sin alpha, b, d, theta, r). parent is the row of the parent
            frame, -1 for the world; kind is REVOLUTE, PRISMATIC or FIXED.
-           The 7-body dynamic tree is the first seven rows.
+           Both are the same for every chain (model.FRAME_PARENTS and
+           model.FRAME_KINDS): row 0 is the slider. The 7-body dynamic
+           tree is the first seven rows.
   inertia: (7, 13) float64, one row per tree body: mass, first moment (3),
            inertia tensor row major (9), all about the body frame.
 
@@ -270,7 +272,7 @@ def tree_direct_efforts(frames, inertia, q, qd, g, units):
     tree_newton_euler at that acceleration with zero rates and gravity (a
     column of the joint-space inertia). Returns (bias efforts,
     [rest-lane efforts]), laid out as tree_newton_euler's. Row 0 must be
-    the root and a slider, as model.py wires every chain.
+    the root and a slider, as model.FRAME_KINDS wires every chain.
 
     Each lane keeps tree_newton_euler's expressions and order on floats and
     leaves out only terms that are exact signed zeros: what zero rates,

@@ -1,11 +1,12 @@
-"""Per-chain dynamics: closure expansion, tree Newton-Euler, reduced models.
+"""Per-chain dynamics: tree Newton-Euler and the reduced models.
 
 Each chain is computed as a 7-body tree (slider, shoulder cross, first bar,
 distal cross, wrist body, platform attachment, second bar) whose six tree
 coordinates are slaved to the three free joint values by the parallelogram
-closure. The closure is linear with a constant offset, so reducing the tree
-model to the free coordinates is a plain congruence by the constant matrix
-G below; no extra velocity terms appear.
+closure (model.py's closure maps). The closure is linear with a constant
+offset, so the free-coordinate efforts are the tree efforts summed by the
+transpose of the closure's rate map (_free_efforts); no extra velocity
+terms appear.
 
 Gravity is the model's field (model_with_gravity gives a copy under another).
 No platform load enters a leg here: the robot layer applies it through the
@@ -15,67 +16,21 @@ Jacobian transposes, and chain_reaction_force gives one leg's share.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from .errors import NumericalError, require_finite
-from .model import TREE_ROWS, _closure_positions, _closure_rates, closure_positions, closure_rates, tree_slots
-
-# Tree coordinate order: frames 1, 2, 3, 4, 5, 7.
-# qdot_tree = G @ (q1dot, q2dot, q3dot); G is constant.
-G = np.array(
-    [
-        [1.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0],
-        [0.0, 0.0, 1.0],
-        [0.0, 0.0, -1.0],
-        [0.0, -1.0, 0.0],
-        [0.0, 0.0, 1.0],
-    ]
-)
-G.flags.writeable = False
-
-# Reduction matrix: chain efforts = G_T @ tree efforts.
-G_T = np.ascontiguousarray(G.T)
-G_T.flags.writeable = False
+from .model import _closure_positions, _closure_rates, closure_positions, closure_rates, tree_slots
 
 _ZERO3 = (0.0, 0.0, 0.0)
 _REST = (0.0,) * 9
-# unit free-coordinate accelerations spread over the frames (columns of G)
+# unit free-coordinate accelerations spread over the frames
 _UNIT_ACCELERATIONS = tuple(closure_rates(e) for e in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
 
 
-@dataclass(frozen=True)
-class TreeState:
-    """Position, rate and acceleration of the six tree coordinates."""
-
-    q: np.ndarray
-    qd: np.ndarray
-    qdd: np.ndarray
-
-    def __post_init__(self):
-        for name in ("q", "qd", "qdd"):
-            v = np.array(getattr(self, name), dtype=float).reshape(6).copy()
-            v.flags.writeable = False
-            object.__setattr__(self, name, v)
-
-
-def closure_expand(q, qd=None, qdd=None) -> TreeState:
-    """Map free chain coordinates (q1, q2, q3) to the six tree coordinates.
-
-    Positions pick up the constant -pi/2 offset on the wrist angle; rates
-    and accelerations are the plain linear image under G.
-    """
-    slots = closure_positions(q)
-    qd = np.zeros(3) if qd is None else np.asarray(qd, dtype=float).reshape(3)
-    qdd = np.zeros(3) if qdd is None else np.asarray(qdd, dtype=float).reshape(3)
-    return TreeState(q=[slots[r] for r in TREE_ROWS], qd=G @ qd, qdd=G @ qdd)
-
-
 def _free_efforts(gam):
-    # G_T @ gam written out
+    # the tree efforts (frames 1..5, 7) summed by the transpose of _closure_rates
     return gam[0], gam[1] - gam[4], gam[2] - gam[3] + gam[5]
 
 
@@ -89,9 +44,10 @@ def _sweep(model, i, q, qd, qdd):
     return _kernels.tree_newton_euler(pack.frames, pack.inertia, q, qd, qdd, model.gravity)
 
 
-def tree_newton_euler(model, i, ts: TreeState):
-    """Efforts at the six tree joints of chain i for the given tree state, under the model's gravity."""
-    return np.array(_sweep(model, i, tree_slots(ts.q), tree_slots(ts.qd), tree_slots(ts.qdd)))
+def tree_newton_euler(model, i, q, qd, qdd):
+    """Efforts at the six tree joints of chain i (frames 1..5, 7) for six-vectors of
+    tree positions, rates and accelerations, under the model's gravity."""
+    return np.array(_sweep(model, i, tree_slots(q), tree_slots(qd), tree_slots(qdd)))
 
 
 def _finite_closure(expand, name, v):

@@ -1,4 +1,4 @@
-"""Robot description: parameter containers, config parsing, frame transforms.
+"""Robot description: the leg's fixed structure, parameter containers, config parsing.
 
 The machine modeled here is a translational parallel robot: three mutually
 orthogonal prismatic actuators, each driving an articulated parallelogram
@@ -22,7 +22,9 @@ d, theta, r):
         Rot(z, theta) Trans(z, r)
 
 and the joint variable adds to theta for a revolute joint or to r for a
-prismatic one.
+prismatic one. The tree's wiring is fixed: FRAME_PARENTS and FRAME_KINDS
+give each frame's parent and joint kind, and a config supplies only the
+placements.
 
 Config files are INI text (configparser syntax). See DEFAULT_CONFIG for a
 complete example. Geometry keys per chain: the base placement row
@@ -39,7 +41,7 @@ unknown name is refused.
 from __future__ import annotations
 
 import configparser
-import dataclasses
+import copy
 import math
 import os
 from dataclasses import dataclass, field
@@ -47,17 +49,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
+from ._kernels import FIXED, PRISMATIC, REVOLUTE
 from .errors import ParseError, ValidationError
 
 _HALF_PI = math.pi / 2.0
 
 # Tree wiring shared by all three chains. Frames are numbered 1..9; parents
-# use 0 for the world. Frames 6 and 9 carry no joint.
+# use 0 for the world. Frame 1 is the slider; frames 6 and 9 carry no joint.
 FRAME_PARENTS = (0, 1, 2, 3, 4, 5, 2, 7, 5)
+FRAME_KINDS = (PRISMATIC, REVOLUTE, REVOLUTE, REVOLUTE, REVOLUTE, FIXED, REVOLUTE, REVOLUTE, FIXED)
 # Rows (frame number - 1) of the six tree coordinates: frames 1-5 and 7.
 TREE_ROWS = (0, 1, 2, 3, 4, 6)
-
-_KIND_CODES = {"revolute": _kernels.REVOLUTE, "prismatic": _kernels.PRISMATIC, "fixed": _kernels.FIXED}
 
 
 def closure_positions(q):
@@ -89,12 +91,9 @@ def tree_slots(v6):
 
 @dataclass(frozen=True)
 class MdhJointParams:
-    """Placement of one frame relative to its parent, plus the joint kind.
+    """Placement of one frame relative to its parent; the frame's parent and
+    joint kind come from FRAME_PARENTS and FRAME_KINDS."""
 
-    Each frame's parent comes from FRAME_PARENTS.
-    """
-
-    kind: str
     gamma: float = 0.0
     b: float = 0.0
     alpha: float = 0.0
@@ -138,24 +137,22 @@ class ChainGeometry:
         mk = MdhJointParams
         r2, d4 = self.r2, self.d4
         return (
-            mk("revolute", alpha=-_HALF_PI, r=r2),
-            mk("revolute", alpha=-_HALF_PI),
-            mk("revolute", d=d4),
-            mk("revolute", alpha=_HALF_PI, r=-r2),
-            mk("fixed", d=self.d6),
-            mk("revolute", b=-2.0 * r2, alpha=-_HALF_PI),
-            mk("revolute", d=d4),
-            mk("fixed", b=-r2, alpha=-_HALF_PI),
+            mk(alpha=-_HALF_PI, r=r2),
+            mk(alpha=-_HALF_PI),
+            mk(d=d4),
+            mk(alpha=_HALF_PI, r=-r2),
+            mk(d=self.d6),
+            mk(b=-2.0 * r2, alpha=-_HALF_PI),
+            mk(d=d4),
+            mk(b=-r2, alpha=-_HALF_PI),
         )
 
 
-def _frame_row(params: MdhJointParams, parent: int) -> tuple:
+def _frame_row(params: MdhJointParams, parent: int, kind: int) -> tuple:
     """One row of the kernels' frame table (layout in _kernels)."""
-    if params.kind not in _KIND_CODES:
-        raise ValidationError("unknown joint kind %r (expected one of %s)" % (params.kind, ", ".join(_KIND_CODES)))
     return (
         parent,
-        _KIND_CODES[params.kind],
+        kind,
         math.cos(params.gamma),
         math.sin(params.gamma),
         math.cos(params.alpha),
@@ -174,12 +171,12 @@ class _ChainPack:
 
     def __init__(self, chain: ChainGeometry):
         rows = (chain.base,) + chain.joints
-        self.frames = tuple(_frame_row(jp, p - 1) for jp, p in zip(rows, FRAME_PARENTS))
+        self.frames = tuple(_frame_row(jp, p - 1, k) for jp, p, k in zip(rows, FRAME_PARENTS, FRAME_KINDS))
         self.inertia = np.array([(li.mass, *li.first_moment, *li.inertia.reshape(9)) for li in chain.links])
-        T = frame_transform(chain.base, 0.0)
-        self.R_base = T[:3, :3].copy()
-        self.anchor = T[:3, 3].copy()
-        self.axis = T[:3, 2].copy()
+        L = _kernels.place(self.frames[0], 0.0)
+        self.R_base = np.reshape(L[:9], (3, 3))
+        self.anchor = np.array(L[9:])
+        self.axis = self.R_base[:, 2].copy()
         self.d4 = chain.d4
         self.d6 = chain.d6
 
@@ -191,8 +188,7 @@ class RobotModel:
     chains holds three ChainGeometry entries; gravity is the field vector in
     the world frame; platform_mass is the lumped platform mass (the platform
     never rotates, so no platform inertia tensor is needed). A non-finite
-    value anywhere, or a base that is not prismatic, raises ValidationError
-    at construction.
+    value anywhere raises ValidationError at construction.
     """
 
     chains: tuple
@@ -201,29 +197,15 @@ class RobotModel:
     verify_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        g = np.array(self.gravity, dtype=float).reshape(3).copy()
-        g.flags.writeable = False
-        object.__setattr__(self, "gravity", g)
+        object.__setattr__(self, "gravity", _gravity_field(self.gravity))
         object.__setattr__(self, "platform_mass", float(self.platform_mass))
         object.__setattr__(self, "chains", tuple(self.chains))
         _require_finite(self)
-        for ci, chain in enumerate(self.chains, start=1):
-            if chain.base.kind != "prismatic":
-                raise ValidationError("chain%d: base kind %r, but frame 1 must be prismatic" % (ci, chain.base.kind))
         packs = tuple(_ChainPack(c) for c in self.chains)
         anchors = np.stack([p.anchor for p in packs])
         anchors.flags.writeable = False
         object.__setattr__(self, "_packs", packs)
         object.__setattr__(self, "anchors", anchors)
-
-
-def frame_transform(params: MdhJointParams, q: float = 0.0) -> np.ndarray:
-    """Homogeneous transform parent<-frame for one row at joint value q."""
-    L = _kernels.place(_frame_row(params, -1), q)
-    T = np.eye(4)
-    T[:3, :3] = np.reshape(L[:9], (3, 3))
-    T[:3, 3] = L[9:]
-    return T
 
 
 # ---------------------------------------------------------------------------
@@ -276,24 +258,20 @@ def _get_vec(cp, section, key, n):
         ) from None
 
 
-def _looks_like_text(s: str) -> bool:
-    return "\n" in s or "[" in s
-
-
 def load_model(source) -> RobotModel:
     """Build a RobotModel from config text, a path string, or a Path.
 
-    A string containing a newline or a '[' is treated as config text,
-    anything else as a filesystem path. Raises ParseError for malformed
-    input and ValidationError for a model that parses but is inconsistent,
-    or whose [verify] section names a check that does not exist.
+    A string containing a newline is treated as config text, anything else
+    as a filesystem path. Raises ParseError for malformed input and
+    ValidationError for a model that parses but is inconsistent, or whose
+    [verify] section names a check that does not exist.
     """
     if isinstance(source, os.PathLike):
         text = os.fspath(source)
         with open(text, "r", encoding="utf-8") as fh:
             text = fh.read()
     elif isinstance(source, str):
-        if _looks_like_text(source):
+        if "\n" in source:
             text = source
         else:
             try:
@@ -320,7 +298,7 @@ def load_model(source) -> RobotModel:
         sec = "chain%d" % ci
         if not cp.has_section(sec):
             raise ParseError("missing section [%s]" % sec)
-        base = MdhJointParams("prismatic", **{k: _get_float(cp, sec, "base_" + k) for k in _BASE_KEYS})
+        base = MdhJointParams(**{k: _get_float(cp, sec, "base_" + k) for k in _BASE_KEYS})
         geom = {k: _get_float(cp, sec, k) for k in _LENGTH_KEYS}
         links = []
         for li in range(1, 8):
@@ -354,9 +332,16 @@ def load_model(source) -> RobotModel:
     return model
 
 
-def _require_finite(model: RobotModel) -> None:
-    if not np.all(np.isfinite(model.gravity)):
+def _gravity_field(gravity) -> np.ndarray:
+    """gravity as a read-only 3-vector; ValidationError if it is not finite."""
+    g = np.array(gravity, dtype=float).reshape(3)
+    if not np.all(np.isfinite(g)):
         raise ValidationError("gravity must be finite")
+    g.flags.writeable = False
+    return g
+
+
+def _require_finite(model: RobotModel) -> None:
     if not math.isfinite(model.platform_mass):
         raise ValidationError("platform_mass must be finite")
     for ci, chain in enumerate(model.chains, start=1):
@@ -461,8 +446,11 @@ def dumps_model(model: RobotModel) -> str:
 
 
 def model_with_gravity(model: RobotModel, gravity) -> RobotModel:
-    """Copy of the model with a different gravity vector."""
-    return dataclasses.replace(model, gravity=np.array(gravity, dtype=float).reshape(3))
+    """Copy of the model with a different gravity vector; it shares the
+    model's kernel tables, which gravity enters none of."""
+    out = copy.copy(model)
+    object.__setattr__(out, "gravity", _gravity_field(gravity))
+    return out
 
 
 def _default_links():
@@ -483,9 +471,9 @@ def _build_default_model() -> RobotModel:
     a = 0.2
     d4, d6, r2 = 0.5, 0.1, 0.05
     bases = (
-        MdhJointParams("prismatic"),
-        MdhJointParams("prismatic", gamma=_HALF_PI, b=a, alpha=_HALF_PI, r=-a),
-        MdhJointParams("prismatic", b=a, alpha=-_HALF_PI, theta=-_HALF_PI, r=-a),
+        MdhJointParams(),
+        MdhJointParams(gamma=_HALF_PI, b=a, alpha=_HALF_PI, r=-a),
+        MdhJointParams(b=a, alpha=-_HALF_PI, theta=-_HALF_PI, r=-a),
     )
     chains = tuple(ChainGeometry(base=b, d4=d4, d6=d6, r2=r2, links=_default_links()) for b in bases)
     return RobotModel(

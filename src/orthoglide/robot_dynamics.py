@@ -41,16 +41,20 @@ def inverse_dynamics(model, p, v_p, vdot_p) -> np.ndarray:
     """Actuator forces that realize platform acceleration vdot_p at (p, v_p)."""
     p, v_p, vdot_p = _finite_vectors(p=p, v_p=v_p, vdot_p=vdot_p)
     _, chain_q = igm(model, p)
-    H_robot = platform_force(model, vdot_p)
     Jp_inv = np.empty((3, 3))
-    for i in range(3):
-        q = chain_q[i]
-        Jinv = chain_jacobian_inverse(model, i, q)
-        qd = Jinv @ v_p
-        qdd = Jinv @ (vdot_p - chain_jacobian_dot(model, i, q, qd) @ qd)
-        H_robot = H_robot + Jinv.T @ chain_torques_H(model, i, q, qd, qdd)
-        Jp_inv[i] = Jinv[0]
-    return np.linalg.solve(Jp_inv.T, H_robot)
+    # a product that overflows is refused below (or by a chain's own guards), not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        H_robot = platform_force(model, vdot_p)
+        for i in range(3):
+            q = chain_q[i]
+            Jinv = chain_jacobian_inverse(model, i, q)
+            qd = Jinv @ v_p
+            qdd = Jinv @ (vdot_p - chain_jacobian_dot(model, i, q, qd) @ qd)
+            H_robot = H_robot + Jinv.T @ chain_torques_H(model, i, q, qd, qdd)
+            Jp_inv[i] = Jinv[0]
+        gamma = np.linalg.solve(Jp_inv.T, H_robot)
+    require_finite("actuator efforts", gamma.tolist())
+    return gamma
 
 
 def cartesian_chain_model(model, i, q, qd):
@@ -113,18 +117,21 @@ def _direct_dynamics(model, p, v_p, gamma):
     jinvs = []
     chain_qd = np.empty((3, 3))
     Jp_inv = np.empty((3, 3))
-    for i in range(3):
-        Jinv = chain_jacobian_inverse(model, i, chain_q[i])
-        jinvs.append(Jinv)
-        chain_qd[i] = Jinv @ v_p
-        Jp_inv[i] = Jinv[0]
-    A_robot, h_robot = _assemble(model, chain_q, chain_qd, jinvs)
-    # Sylvester test on the leading minors; cheaper than a factorization
-    (m11, a01, _), (a10, a11, _), _ = A_robot.tolist()
-    if not (m11 > 0.0 and m11 * a11 - a01 * a10 > 0.0 and np.linalg.det(A_robot) > 0.0):
-        raise NumericalError("robot inertia matrix is not positive definite")
-    f_act = Jp_inv.T @ gamma
-    return np.linalg.solve(A_robot, f_act - h_robot), L, chain_qd[:, 0]
+    # a product that overflows is refused below (or by a chain's own guards), not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(3):
+            Jinv = chain_jacobian_inverse(model, i, chain_q[i])
+            jinvs.append(Jinv)
+            chain_qd[i] = Jinv @ v_p
+            Jp_inv[i] = Jinv[0]
+        A_robot, h_robot = _assemble(model, chain_q, chain_qd, jinvs)
+        # Sylvester test on the leading minors; cheaper than a factorization
+        (m11, a01, _), (a10, a11, _), _ = A_robot.tolist()
+        if not (m11 > 0.0 and m11 * a11 - a01 * a10 > 0.0 and np.linalg.det(A_robot) > 0.0):
+            raise NumericalError("robot inertia matrix is not positive definite")
+        acc = np.linalg.solve(A_robot, Jp_inv.T @ gamma - h_robot)
+    require_finite("platform acceleration", acc.tolist())
+    return acc, L, chain_qd[:, 0]
 
 
 def _inverse_dynamics_many(model, P, V, A):
@@ -143,9 +150,9 @@ def _batched(batch, scalar, model, *states):
     states = [np.ascontiguousarray(x, dtype=float).reshape(-1, 3) for x in states]
     if len(states[0]) and np.isfinite(states).all():
         try:
-            with np.errstate(over="ignore", invalid="ignore"):  # a rerun warns as the scalar loop does
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the scalar rerun's to refuse
                 out = batch(model, *states)
-            if np.isfinite(out).all():  # else a rate overflowed, which the scalar may refuse
+            if np.isfinite(out).all():
                 return out
         except (OrthoglideError, np.linalg.LinAlgError):
             pass

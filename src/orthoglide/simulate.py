@@ -19,6 +19,8 @@ format keeps every sample field.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -203,12 +205,12 @@ def simulate(model, p0, v0, torque_fn=None, config: SimConfig | None = None) -> 
     cfg = config if config is not None else SimConfig()
     if cfg.integrator not in ("rk4", "euler"):
         raise ValidationError("unknown integrator '%s'" % cfg.integrator)
-    if not (cfg.dt > 0.0):
-        raise ValidationError("dt must be positive")
-    if cfg.t_end < 0.0:
-        raise ValidationError("t_end must be nonnegative")
-    if cfg.record_every < 1:
-        raise ValidationError("record_every must be >= 1")
+    if not 0.0 < cfg.dt < math.inf:
+        raise ValidationError("dt must be positive and finite")
+    if not 0.0 <= cfg.t_end < math.inf:
+        raise ValidationError("t_end must be nonnegative and finite")
+    if not (isinstance(cfg.record_every, numbers.Integral) and cfg.record_every >= 1):
+        raise ValidationError("record_every must be an integer >= 1")
     dt = cfg.dt
     n_steps = round(cfg.t_end / dt)
     # t_end / dt is a whole number up to its round-off

@@ -23,14 +23,11 @@ import numpy as np
 
 from . import _kernels
 from .chain_dynamics import (
-    G_T,
-    TreeState,
     chain_bias_h,
     chain_inertia_A,
     chain_kinetic_energy,
     chain_reaction_force,
     chain_torques_H,
-    closure_expand,
     tree_newton_euler,
 )
 from .errors import NumericalError, OrthoglideError, OutOfWorkspace, ValidationError
@@ -450,16 +447,12 @@ def _check_wrist_axis(model, rng, n):
 def _check_tree_inertia_crb(model, rng, n):
     worst = 0.0
     m0 = model_with_gravity(model, (0.0, 0.0, 0.0))
+    zero6 = np.zeros(6)
     for _ in range(n):
         i = int(rng.integers(0, 3))
         q6 = _sample_tree_q(rng)
         M_crb = composite_tree_inertia(model, i, q6)
-        M_ne = np.empty((6, 6))
-        for k in range(6):
-            e = np.zeros(6)
-            e[k] = 1.0
-            ts = TreeState(q=q6, qd=np.zeros(6), qdd=e)
-            M_ne[:, k] = tree_newton_euler(m0, i, ts)
+        M_ne = np.array([tree_newton_euler(m0, i, q6, zero6, e) for e in np.eye(6)]).T
         worst = _worse(worst, _rel(M_ne - M_crb, M_crb))
     return worst, n
 
@@ -471,7 +464,7 @@ def _check_gravity_gradient(model, rng, n):
     for _ in range(n):
         i = int(rng.integers(0, 3))
         q6 = _sample_tree_q(rng)
-        gam = tree_newton_euler(model, i, TreeState(q=q6, qd=zero6, qdd=zero6))
+        gam = tree_newton_euler(model, i, q6, zero6, zero6)
         grad = np.empty(6)
         for k in range(6):
             e = np.zeros(6)
@@ -497,14 +490,11 @@ def _check_torque_decomposition(model, rng, n):
 def _check_inertia_symmetry(model, rng, n):
     worst = 0.0
     m0 = model_with_gravity(model, (0.0, 0.0, 0.0))
+    zero = np.zeros(3)
     for _ in range(n):
         i = int(rng.integers(0, 3))
         q = _sample_chain_q(rng)
-        A = np.empty((3, 3))
-        for k in range(3):
-            qdd = np.zeros(3)
-            qdd[k] = 1.0
-            A[:, k] = G_T @ tree_newton_euler(m0, i, closure_expand(q, None, qdd))
+        A = np.array([chain_torques_H(m0, i, q, zero, e) for e in np.eye(3)]).T
         worst = _worse(worst, float(np.abs(A - A.T).max() / max(1.0, np.abs(A).max())))
     return worst, n
 

@@ -94,6 +94,12 @@ def test_simulate_t_end_off_the_step_grid_exits_1(capsys):
     assert capsys.readouterr().err.startswith("ERROR:ValidationError:")
 
 
+@pytest.mark.parametrize("flag, value", (("--t-end", "inf"), ("--t-end", "nan"), ("--dt", "inf")))
+def test_simulate_non_finite_time_settings_exit_1(capsys, flag, value):
+    assert main(["simulate", "--point", "0,0,0.6", flag, value]) == 1
+    assert capsys.readouterr().err.startswith("ERROR:ValidationError:")
+
+
 def test_simulate_with_torque_file(tmp_path, capsys):
     tq = tmp_path / "tq.csv"
     tq.write_text("t,G1,G2,G3\n0.0,0.0,0.0,9.81\n0.005,0.0,0.0,0.0\n")

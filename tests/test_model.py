@@ -14,10 +14,11 @@ from orthoglide import (
     ValidationError,
     default_model,
     dumps_model,
-    frame_transform,
     load_model,
     model_with_gravity,
 )
+from orthoglide._kernels import FIXED, PRISMATIC, REVOLUTE, place
+from orthoglide.model import FRAME_KINDS, _frame_row
 
 
 def _rot_z(a):
@@ -44,22 +45,29 @@ def _compose(gamma, b, alpha, d, theta, r):
     return _rot_z(gamma) @ _trans(0, 0, b) @ _rot_x(alpha) @ _trans(d, 0, 0) @ _rot_z(theta) @ _trans(0, 0, r)
 
 
+def _frame_transform(params, kind, q):
+    """Homogeneous transform parent<-frame of one placement row at joint value q."""
+    L = place(_frame_row(params, -1, kind), q)
+    T = np.eye(4)
+    T[:3, :3] = np.reshape(L[:9], (3, 3))
+    T[:3, 3] = L[9:]
+    return T
+
+
 def test_frame_transform_matches_elementary_product(rng):
     for _ in range(50):
         gamma, b, alpha, d, theta, r = rng.uniform(-2.0, 2.0, 6)
         q = float(rng.uniform(-1.0, 1.0))
-        rev = MdhJointParams("revolute", gamma, b, alpha, d, theta, r)
-        pri = MdhJointParams("prismatic", gamma, b, alpha, d, theta, r)
-        fix = MdhJointParams("fixed", gamma, b, alpha, d, theta, r)
-        assert np.allclose(frame_transform(rev, q), _compose(gamma, b, alpha, d, theta + q, r), atol=1e-14)
-        assert np.allclose(frame_transform(pri, q), _compose(gamma, b, alpha, d, theta, r + q), atol=1e-14)
-        assert np.allclose(frame_transform(fix, 0.0), _compose(gamma, b, alpha, d, theta, r), atol=1e-14)
+        row = MdhJointParams(gamma, b, alpha, d, theta, r)
+        assert np.allclose(_frame_transform(row, REVOLUTE, q), _compose(gamma, b, alpha, d, theta + q, r), atol=1e-14)
+        assert np.allclose(_frame_transform(row, PRISMATIC, q), _compose(gamma, b, alpha, d, theta, r + q), atol=1e-14)
+        assert np.allclose(_frame_transform(row, FIXED, q), _compose(gamma, b, alpha, d, theta, r), atol=1e-14)
 
 
 def test_frame_transform_pinned_base_row():
     # actuator riding along world x: rotate z by 90deg, lift 0.2, tip around x
-    row = MdhJointParams("prismatic", gamma=math.pi / 2, b=0.2, alpha=math.pi / 2, r=-0.2)
-    T = frame_transform(row, 0.3)
+    row = MdhJointParams(gamma=math.pi / 2, b=0.2, alpha=math.pi / 2, r=-0.2)
+    T = _frame_transform(row, PRISMATIC, 0.3)
     assert np.allclose(T[:3, 3], [0.1, 0.0, 0.2], atol=1e-15)
     assert np.allclose(T[:3, :3], [[0, 0, 1], [1, 0, 0], [0, 1, 0]], atol=1e-15)
 
@@ -100,6 +108,10 @@ def test_load_model_from_path(tmp_path):
     assert m.chains[0].d4 == 0.5
     m2 = load_model(str(path))
     assert m2.chains[2].d4 == 0.5
+    # only a newline marks config text; brackets may appear in a file name
+    path = tmp_path / "m[1].ini"
+    path.write_text(DEFAULT_CONFIG)
+    assert dumps_model(load_model(str(path))) == DEFAULT_CONFIG
 
 
 def test_load_model_missing_file():
@@ -135,18 +147,12 @@ def test_config_with_the_old_offset_keys_loads_the_same_tables():
     assert _pack_bytes(load_model(old)) == _pack_bytes(default_model())
 
 
-@pytest.mark.parametrize("kind", ("revolute", "fixed", "spherical"))
-def test_base_must_be_a_prismatic_slider(model, kind):
-    # every kernel drives frame 1 as the slider
-    chains = list(model.chains)
-    chains[1] = dataclasses.replace(chains[1], base=dataclasses.replace(chains[1].base, kind=kind))
-    with pytest.raises(ValidationError, match="chain2: base kind %r" % kind):
-        dataclasses.replace(model, chains=tuple(chains))
-
-
-def test_frame_transform_refuses_an_unknown_kind():
-    with pytest.raises(ValidationError, match="unknown joint kind 'spherical'"):
-        frame_transform(MdhJointParams("spherical"))
+def test_base_must_be_a_prismatic_slider(model):
+    # a placement row carries no kind, so every chain's frame 1 is the slider the kernels drive
+    assert [f.name for f in dataclasses.fields(MdhJointParams)] == ["gamma", "b", "alpha", "d", "theta", "r"]
+    assert FRAME_KINDS[0] == PRISMATIC
+    for pack in model._packs:
+        assert tuple(row[1] for row in pack.frames) == FRAME_KINDS
 
 
 def test_inertia_validation():
@@ -218,6 +224,13 @@ def test_model_with_gravity(model):
     assert np.array_equal(m2.gravity, [0, 0, -1.0])
     assert np.array_equal(model.gravity, [0, 0, -9.81])
     assert m2.chains is not None and m2.platform_mass == model.platform_mass
+    # gravity enters no kernel table, so the copy shares the model's
+    assert m2._packs is model._packs and m2.anchors is model.anchors
+    with pytest.raises(ValueError):
+        m2.gravity[0] = 1.0
+    for bad in ((0.0, math.nan, 0.0), (math.inf, 0.0, 0.0)):
+        with pytest.raises(ValidationError, match="gravity must be finite"):
+            model_with_gravity(model, bad)
 
 
 def test_default_model_builds_fresh_instances():

@@ -145,3 +145,23 @@ def test_overflowing_velocity_terms_are_numerical_error(model):
     assert str(batch.value) == str(scalar.value)
     with pytest.raises(NumericalError, match="bias efforts"):
         simulate(model, p, v, config=SimConfig(dt=1e-3, t_end=0.002))
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_efforts_and_accelerations_are_numerical_error(model):
+    # finite inputs whose products overflow: an actuator force and a platform acceleration
+    p, v, big = (0.0, 0.0, 0.6), (0.0, 0.0, 0.0), (1e308, 1e308, 0.0)
+    with pytest.raises(NumericalError, match="non-finite platform acceleration"):
+        direct_dynamics(model, p, v, big)
+    with pytest.raises(NumericalError, match="non-finite platform acceleration"):
+        robot_dynamics._direct_dynamics_many(model, [p], [v], [big])
+    with pytest.raises(NumericalError):
+        inverse_dynamics(model, p, v, big)
+    with pytest.raises(NumericalError):
+        robot_dynamics._inverse_dynamics_many(model, [p], [v], [big])
+    # the solve itself overflows, with every joint acceleration finite
+    with pytest.raises(NumericalError, match="non-finite actuator efforts"):
+        inverse_dynamics(model, p, v, (1e307, -1e307, 1e307))
+    # the first sample is refused instead of recorded
+    with pytest.raises(NumericalError, match="non-finite platform acceleration"):
+        simulate(model, p, v, lambda t: np.array(big), SimConfig(dt=1e-3, t_end=0.002))

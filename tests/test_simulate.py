@@ -194,6 +194,9 @@ def test_bad_run_settings_rejected(model):
         simulate(model, P_HOME, (0, 0, 0), config=SimConfig(t_end=-1.0))
     with pytest.raises(ValidationError):
         simulate(model, P_HOME, (0, 0, 0), config=SimConfig(record_every=0))
+    for cfg in (SimConfig(t_end=math.inf), SimConfig(t_end=math.nan), SimConfig(dt=math.inf), SimConfig(record_every=1.5)):
+        with pytest.raises(ValidationError):
+            simulate(model, P_HOME, (0, 0, 0), config=cfg)
 
 
 def test_t_end_off_the_step_grid_is_rejected(model):

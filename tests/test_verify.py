@@ -11,7 +11,6 @@ from orthoglide import (
     ValidationError,
     chain_kinetic_energy,
     chain_potential_energy,
-    closure_expand,
     default_model,
     format_report_table,
     igm,
@@ -26,6 +25,7 @@ from orthoglide import (
     run_verification,
 )
 from orthoglide import verify
+from orthoglide.model import TREE_ROWS, closure_positions
 from orthoglide.verify import sample_platform_points
 
 SLOW = ("power_balance", "energy_drift_conservative", "tracking_error")
@@ -198,7 +198,7 @@ def _potential_numpy(model, p):
     _, chain_q = igm(model, p)
     U = -model.platform_mass * float(model.gravity @ np.asarray(p, dtype=float))
     for i in range(3):
-        R, O = verify._tree_frames(model, i, closure_expand(chain_q[i]).q)
+        R, O = verify._tree_frames(model, i, [closure_positions(chain_q[i])[r] for r in TREE_ROWS])
         Ui = 0.0
         for b, link in enumerate(model.chains[i].links):
             Ui -= model.gravity @ (link.mass * O[b] + R[b] @ link.first_moment)
@@ -212,7 +212,7 @@ def _potential_scale(model, p):
     g = np.abs(model.gravity)
     scale = model.platform_mass * float(g @ np.abs(p))
     for i in range(3):
-        R, O = verify._tree_frames(model, i, closure_expand(chain_q[i]).q)
+        R, O = verify._tree_frames(model, i, [closure_positions(chain_q[i])[r] for r in TREE_ROWS])
         for b, link in enumerate(model.chains[i].links):
             scale += float(g @ (np.abs(link.mass * O[b]) + np.abs(R[b]) @ np.abs(link.first_moment)))
     return scale
