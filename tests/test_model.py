@@ -147,12 +147,22 @@ def test_config_with_the_old_offset_keys_loads_the_same_tables():
     assert _pack_bytes(load_model(old)) == _pack_bytes(default_model())
 
 
-def test_base_must_be_a_prismatic_slider(model):
-    # a placement row carries no kind, so every chain's frame 1 is the slider the kernels drive
+@pytest.mark.parametrize("kind", ("revolute", "fixed", "spherical"))
+def test_base_must_be_a_prismatic_slider(model, kind):
+    # a placement row carries no kind, so no base can be given another one:
+    # every chain's frame 1 is the slider the kernels drive
     assert [f.name for f in dataclasses.fields(MdhJointParams)] == ["gamma", "b", "alpha", "d", "theta", "r"]
+    with pytest.raises(TypeError):
+        dataclasses.replace(model.chains[1].base, kind=kind)
+    with pytest.raises(TypeError):
+        MdhJointParams(kind=kind)
     assert FRAME_KINDS[0] == PRISMATIC
     for pack in model._packs:
         assert tuple(row[1] for row in pack.frames) == FRAME_KINDS
+        # the base joint value slides frame 1 along the rail axis, without turning it
+        L = place(pack.frames[0], 0.3)
+        assert np.allclose(np.reshape(L[:9], (3, 3)), pack.R_base, atol=1e-15)
+        assert np.allclose(L[9:], pack.anchor + 0.3 * pack.axis, atol=1e-15)
 
 
 def test_inertia_validation():
