@@ -24,7 +24,8 @@ from .errors import NumericalError, require_finite
 from .model import _closure_positions, _closure_rates, closure_positions, closure_rates, tree_slots
 
 _ZERO3 = (0.0, 0.0, 0.0)
-_REST = (0.0,) * 9
+# the raw inertia columns must match their transpose to this (relative), scalar and batched paths alike
+_SYMMETRY_TOL = 1e-8
 # unit free-coordinate accelerations spread over the frames
 _UNIT_ACCELERATIONS = tuple(closure_rates(e) for e in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
 
@@ -82,8 +83,9 @@ def _inertia(i, columns):
     (a00, a10, a20), (a01, a11, a21), (a02, a12, a22) = map(_free_efforts, columns)
     defect = max(abs(a01 - a10), abs(a02 - a20), abs(a12 - a21))
     scale = max(1.0, abs(a00), abs(a01), abs(a02), abs(a10), abs(a11), abs(a12), abs(a20), abs(a21), abs(a22))
-    if defect > 1e-8 * scale:
-        raise NumericalError("chain %d inertia symmetry defect %.3g exceeds 1e-8" % (i + 1, defect / scale))
+    if defect > _SYMMETRY_TOL * scale:
+        msg = "chain %d inertia symmetry defect %.3g exceeds %g" % (i + 1, defect / scale, _SYMMETRY_TOL)
+        raise NumericalError(msg)
     # 0.5 (A + A^T); on the diagonal that is A itself
     s01 = 0.5 * (a01 + a10)
     s02 = 0.5 * (a02 + a20)
@@ -148,8 +150,8 @@ def _leg_dynamics_many(model, i, q, qd):
     (a00, a10, a20), (a01, a11, a21), (a02, a12, a22) = map(_free_efforts, columns)
     defect = np.abs([a01 - a10, a02 - a20, a12 - a21]).max(axis=0)
     scale = np.maximum(1.0, np.abs([a00, a01, a02, a10, a11, a12, a20, a21, a22]).max(axis=0))
-    if (defect > 1e-8 * scale).any():
-        raise NumericalError("chain %d inertia symmetry defect exceeds 1e-8" % (i + 1))
+    if (defect > _SYMMETRY_TOL * scale).any():
+        raise NumericalError("chain %d inertia symmetry defect exceeds %g" % (i + 1, _SYMMETRY_TOL))
     s01 = 0.5 * (a01 + a10)
     s02 = 0.5 * (a02 + a20)
     s12 = 0.5 * (a12 + a21)

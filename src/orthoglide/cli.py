@@ -25,7 +25,7 @@ from .simulate import (
     simulate,
     torque_from_table,
 )
-from .verify import format_report_table, run_verification
+from .verify import DEFAULT_SEED, format_report_table, run_verification
 
 
 def _vec3(text):
@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the oracle check battery")
     p.add_argument("--model", default="default")
     p.add_argument("--out", default=None, help="also write a JSON report here")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--checks", default=None, help="comma separated subset of check names")
     p.set_defaults(func=_cmd_verify)

@@ -18,6 +18,8 @@ from .model import closure_positions
 
 _HALF_PI = math.pi / 2.0
 _ASIN_EDGE = 1.0 - 1e-12
+# |cos q3| or |sin q2| at or below this is a fold, in the scalar and the batched paths
+_FOLD_LIMIT = 1e-9
 
 
 def igm(model, p):
@@ -139,9 +141,9 @@ def chain_jacobian_inverse(model, i, q):
     """
     q2, q3 = _finite_angles("q", q)
     c2, s2, c3, s3 = math.cos(q2), math.sin(q2), math.cos(q3), math.sin(q3)
-    if abs(c3) <= 1e-9:
+    if abs(c3) <= _FOLD_LIMIT:
         raise ChainSingular(i + 1, "cos(q3) = %.3g" % c3)
-    if abs(s2) <= 1e-9:
+    if abs(s2) <= _FOLD_LIMIT:
         raise ChainSingular(i + 1, "sin(q2) = %.3g" % s2)
     pack = model._packs[i]
     J = pack.R_base @ _local_jacobian(pack.d4, c2, s2, c3, s3)

@@ -15,7 +15,9 @@ import numpy as np
 
 from .chain_dynamics import _leg_dynamics, _leg_dynamics_many, _rows, _torques_many, chain_torques_H
 from .errors import ChainSingular, NumericalError, OrthoglideError, require_finite
-from .kinematics import _jacobian_dot_terms, _jacobian_terms, chain_jacobian_dot, chain_jacobian_inverse, igm
+from .kinematics import (
+    _FOLD_LIMIT, _jacobian_dot_terms, _jacobian_terms, chain_jacobian_dot, chain_jacobian_inverse, igm,
+)
 
 _EYE3 = np.eye(3)
 _EYE3.flags.writeable = False
@@ -178,7 +180,7 @@ def _legs(model, P, V):
     for i, pack in enumerate(model._packs):
         q = chain_q[:, i].T
         c2, s2, c3, s3 = np.cos(q[1]), np.sin(q[1]), np.cos(q[2]), np.sin(q[2])
-        if (np.abs(c3) <= 1e-9).any() or (np.abs(s2) <= 1e-9).any():
+        if (np.abs(c3) <= _FOLD_LIMIT).any() or (np.abs(s2) <= _FOLD_LIMIT).any():
             raise ChainSingular(i + 1, "a state of the batch is at a fold")
         Jinv = np.linalg.inv(pack.R_base @ _base_stack(_jacobian_terms(pack.d4, c2, s2, c3, s3), 1.0))
         qd = _mv(Jinv, V)

@@ -212,6 +212,8 @@ def simulate(model, p0, v0, torque_fn=None, config: SimConfig | None = None) -> 
     if not (isinstance(cfg.record_every, numbers.Integral) and cfg.record_every >= 1):
         raise ValidationError("record_every must be an integer >= 1")
     dt = cfg.dt
+    if cfg.t_end / dt == math.inf:
+        raise ValidationError("dt %r is too small: t_end / dt overflows" % dt)
     n_steps = round(cfg.t_end / dt)
     # t_end / dt is a whole number up to its round-off
     if abs(cfg.t_end / dt - n_steps) > 1e-9 * max(1, n_steps):
@@ -223,8 +225,11 @@ def simulate(model, p0, v0, torque_fn=None, config: SimConfig | None = None) -> 
 
     # the start, every record_every-th step and the last one
     n_records = 1 + -(-n_steps // cfg.record_every)
-    times = np.empty(n_records)
-    columns = np.empty((6, n_records, 3))  # P, V, A, L, Ldot, Gamma
+    try:
+        times = np.empty(n_records)
+        columns = np.empty((6, n_records, 3))  # P, V, A, L, Ldot, Gamma
+    except (ValueError, MemoryError):  # numpy cannot size, or this process cannot hold, that many records
+        raise ValidationError("dt %r is too small: %.3g records cannot be allocated" % (dt, n_records)) from None
     count = 0
 
     def record(t, *values):
@@ -326,22 +331,12 @@ def read_trajectory_csv(path) -> Trajectory:
     )
 
 
-# json.dumps(..., indent=1) of {"samples": [...]}, written out: one %r per
-# float (json writes floats with their repr), the rates as a vector or null
-_JSON_VECTOR = "[\n    %r,\n    %r,\n    %r\n   ]"
-_JSON_SAMPLE = (
-    '  {\n   "t": %r,\n   "P": ' + _JSON_VECTOR + ',\n   "V": ' + _JSON_VECTOR + ',\n   "A": ' + _JSON_VECTOR
-    + ',\n   "L": ' + _JSON_VECTOR + ',\n   "Ldot": %s,\n   "Gamma": ' + _JSON_VECTOR + "\n  }"
-)
-
-
 def format_trajectory_json(samples) -> str:
     """JSON text of the samples, as write_trajectory_json stores it.
 
     The text is json.dumps(..., indent=1) of {"samples": [...]} plus a
-    newline, written without the pure-Python encoder that indent selects.
-    A sequence that gives rates (Ldot) for some samples only, or holds an
-    element that is not a TrajectorySample, raises ValidationError.
+    newline. A sequence that gives rates (Ldot) for some samples only, or
+    holds an element that is not a TrajectorySample, raises ValidationError.
     """
     if isinstance(samples, Trajectory):
         rows = samples._data.tolist()
@@ -350,16 +345,12 @@ def format_trajectory_json(samples) -> str:
         if len({s.Ldot is None for s in samples}) > 1:  # read_trajectory_json refuses that file
             raise ValidationError("Ldot must be given for every sample or for none")
         rows = [row + ([] if s.Ldot is None else s.Ldot.tolist()) for row, s in zip(rows, samples)]
-    if not rows:
-        return '{\n "samples": []\n}\n'
-    text = ",\n".join(
-        _JSON_SAMPLE % (*row[:13], _JSON_VECTOR % tuple(row[16:]) if len(row) == 19 else "null", *row[13:16])
-        for row in rows
-    )
-    # repr spells the non-finite floats nan, inf and -inf, json NaN, Infinity
-    # and -Infinity; no key and no null contains either spelling
-    text = text.replace("nan", "NaN").replace("inf", "Infinity")
-    return '{\n "samples": [\n' + text + "\n ]\n}\n"
+    dicts = [
+        {"t": r[0], "P": r[1:4], "V": r[4:7], "A": r[7:10], "L": r[10:13],
+         "Ldot": r[16:19] if len(r) == 19 else None, "Gamma": r[13:16]}
+        for r in rows
+    ]
+    return json.dumps({"samples": dicts}, indent=1) + "\n"
 
 
 def write_trajectory_json(samples, path) -> None:

@@ -10,11 +10,21 @@ the whole battery with seeded sampling and returns one report per check.
 Sample counts scale with the n_samples argument (their documented values
 hold at n_samples=100). Tolerances can be overridden per check, either by
 the [verify] section of a model config or by the tolerances argument.
+
+Most checks are per-sample: a function error(model, rng, *sample) that
+returns one sample's error, registered in _CHECKS as _per_sample(draw,
+error). The draw (_points, _chains, _trees or _states) gives the samples;
+the driver folds their errors with _worse, so a NaN fails the check, and
+reports n. A draw the error function makes itself (rates, accelerations)
+follows its sample's in the check's stream. A check that reports another
+count, runs in phases or runs a batch or a simulation is written whole, as
+check(model, rng, n) -> (err, used).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -82,11 +92,6 @@ def _slots_potential(model, i, slots) -> float:
             + gz * (M * oz + (r20 * mx + r21 * my + r22 * mz))
         )
     return U
-
-
-def _tree_potential(model, i, q6) -> float:
-    """Gravity potential of the free 7-body tree of chain i."""
-    return _slots_potential(model, i, tree_slots(q6))
 
 
 def chain_potential_energy(model, i, q) -> float:
@@ -295,18 +300,39 @@ def _sample_state(model, rng):
     return p, v, a
 
 
-def _sample_chain_q(rng):
-    q1 = rng.uniform(-0.2, 0.2)
-    q2 = -0.5 * math.pi + rng.uniform(-1.2, 1.2)
-    q3 = rng.uniform(-1.2, 1.2)
-    return np.array([q1, q2, q3])
+# draw(model, rng, n) gives the n samples of a per-sample check, each a tuple
+# of its arguments after (model, rng). The generators draw a sample only when
+# the driver asks for it, so whatever the check then draws follows that sample.
 
 
-def _sample_tree_q(rng):
-    q6 = rng.uniform(-1.2, 1.2, 6)
-    q6[0] = rng.uniform(-0.2, 0.2)
-    q6[4] -= 0.5 * math.pi
-    return q6
+def _points(model, rng, n):
+    """n interior platform points, all drawn up front."""
+    return [(p,) for p in sample_platform_points(model, rng, n)]
+
+
+def _chains(model, rng, n):
+    """n (chain index, free coordinates q) samples."""
+    for _ in range(n):
+        i = int(rng.integers(0, 3))
+        q1 = rng.uniform(-0.2, 0.2)
+        q2 = -0.5 * math.pi + rng.uniform(-1.2, 1.2)
+        q3 = rng.uniform(-1.2, 1.2)
+        yield i, np.array([q1, q2, q3])
+
+
+def _trees(model, rng, n):
+    """n (chain index, six tree coordinates) samples."""
+    for _ in range(n):
+        i = int(rng.integers(0, 3))
+        q6 = rng.uniform(-1.2, 1.2, 6)
+        q6[0] = rng.uniform(-0.2, 0.2)
+        q6[4] -= 0.5 * math.pi
+        yield i, q6
+
+
+def _states(model, rng, n):
+    """n platform states (p, v, a)."""
+    return (_sample_state(model, rng) for _ in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -344,64 +370,51 @@ def _worse(worst, err):
     return err if err > worst or err != err else worst
 
 
-def _check_igm_round_trip(model, rng, n):
-    worst = 0.0
-    for p in sample_platform_points(model, rng, n):
-        _, chain_q = igm(model, p)
-        for i in range(3):
-            worst = _worse(worst, float(np.abs(chain_forward_point(model, i, chain_q[i]) - p).max()))
-    return worst, n
+def _per_sample(draw, error):
+    """The check (model, rng, n) -> (err, n) whose err is the worst of
+    error(model, rng, *sample) over the n samples of draw(model, rng, n)."""
+
+    def check(model, rng, n):
+        worst = 0.0
+        for sample in draw(model, rng, n):
+            worst = _worse(worst, error(model, rng, *sample))
+        return worst, n
+
+    return check
 
 
-def _check_jacobian_fd(model, rng, n):
+def _igm_round_trip(model, rng, p):
+    _, chain_q = igm(model, p)
+    return float(np.abs([chain_forward_point(model, i, chain_q[i]) - p for i in range(3)]).max())
+
+
+def _jacobian_fd(model, rng, i, q):
     h = 1e-6
-    worst = 0.0
-    for _ in range(n):
-        i = int(rng.integers(0, 3))
-        q = _sample_chain_q(rng)
-        J = chain_jacobian(model, i, q)
-        Jfd = np.empty((3, 3))
-        for k in range(3):
-            e = np.zeros(3)
-            e[k] = h
-            Jfd[:, k] = (chain_forward_point(model, i, q + e) - chain_forward_point(model, i, q - e)) / (2.0 * h)
-        worst = _worse(worst, _rel(J - Jfd, J))
-    return worst, n
+    J = chain_jacobian(model, i, q)
+    Jfd = np.empty((3, 3))
+    for k in range(3):
+        e = np.zeros(3)
+        e[k] = h
+        Jfd[:, k] = (chain_forward_point(model, i, q + e) - chain_forward_point(model, i, q - e)) / (2.0 * h)
+    return _rel(J - Jfd, J)
 
 
-def _check_jacobian_inverse_identity(model, rng, n):
-    worst = 0.0
-    eye = np.eye(3)
-    for _ in range(n):
-        i = int(rng.integers(0, 3))
-        q = _sample_chain_q(rng)
-        prod = chain_jacobian(model, i, q) @ chain_jacobian_inverse(model, i, q)
-        worst = _worse(worst, float(np.abs(prod - eye).max()))
-    return worst, n
+def _jacobian_inverse_identity(model, rng, i, q):
+    return float(np.abs(chain_jacobian(model, i, q) @ chain_jacobian_inverse(model, i, q) - np.eye(3)).max())
 
 
-def _check_robot_rows(model, rng, n):
-    worst = 0.0
-    for p in sample_platform_points(model, rng, n):
-        _, chain_q = igm(model, p)
-        Jp_inv = robot_jacobian_inverse(model, chain_q)
-        for i in range(3):
-            row = chain_jacobian_inverse(model, i, chain_q[i])[0]
-            worst = _worse(worst, float(np.abs(Jp_inv[i] - row).max()))
-    return worst, n
+def _robot_rows(model, rng, p):
+    _, chain_q = igm(model, p)
+    Jp_inv = robot_jacobian_inverse(model, chain_q)
+    return float(np.abs(Jp_inv - [chain_jacobian_inverse(model, i, chain_q[i])[0] for i in range(3)]).max())
 
 
-def _check_jacobian_dot_fd(model, rng, n):
+def _jacobian_dot_fd(model, rng, i, q):
     h = 1e-6
-    worst = 0.0
-    for _ in range(n):
-        i = int(rng.integers(0, 3))
-        q = _sample_chain_q(rng)
-        qd = rng.normal(0.0, 1.0, 3)
-        Jd = chain_jacobian_dot(model, i, q, qd)
-        Jfd = (chain_jacobian(model, i, q + h * qd) - chain_jacobian(model, i, q - h * qd)) / (2.0 * h)
-        worst = _worse(worst, _rel(Jd - Jfd, Jd))
-    return worst, n
+    qd = rng.normal(0.0, 1.0, 3)
+    Jd = chain_jacobian_dot(model, i, q, qd)
+    Jfd = (chain_jacobian(model, i, q + h * qd) - chain_jacobian(model, i, q - h * qd)) / (2.0 * h)
+    return _rel(Jd - Jfd, Jd)
 
 
 def _check_acceleration_consistency(model, rng, n):
@@ -427,83 +440,54 @@ def _check_acceleration_consistency(model, rng, n):
     return worst, used
 
 
-def _check_closure_gap(model, rng, n):
-    worst = 0.0
-    for _ in range(n):
-        i = int(rng.integers(0, 3))
-        worst = _worse(worst, parallelogram_gap(model, i, _sample_chain_q(rng)))
-    return worst, n
+def _closure_gap(model, rng, i, q):
+    return parallelogram_gap(model, i, q)
 
 
-def _check_wrist_axis(model, rng, n):
-    worst = 0.0
-    for _ in range(n):
-        i = int(rng.integers(0, 3))
-        R, _ = chain_frames(model, i, _sample_chain_q(rng))
-        worst = _worse(worst, float(np.abs(R[4][:, 0] - model._packs[i].axis).max()))
-    return worst, n
+def _wrist_axis(model, rng, i, q):
+    R, _ = chain_frames(model, i, q)
+    return float(np.abs(R[4][:, 0] - model._packs[i].axis).max())
 
 
-def _check_tree_inertia_crb(model, rng, n):
-    worst = 0.0
+def _tree_inertia_crb(model, rng, i, q6):
     m0 = model_with_gravity(model, (0.0, 0.0, 0.0))
-    zero6 = np.zeros(6)
-    for _ in range(n):
-        i = int(rng.integers(0, 3))
-        q6 = _sample_tree_q(rng)
-        M_crb = composite_tree_inertia(model, i, q6)
-        M_ne = np.array([tree_newton_euler(m0, i, q6, zero6, e) for e in np.eye(6)]).T
-        worst = _worse(worst, _rel(M_ne - M_crb, M_crb))
-    return worst, n
+    M_crb = composite_tree_inertia(model, i, q6)
+    M_ne = np.array([tree_newton_euler(m0, i, q6, np.zeros(6), e) for e in np.eye(6)]).T
+    return _rel(M_ne - M_crb, M_crb)
 
 
-def _check_gravity_gradient(model, rng, n):
+def _gravity_gradient(model, rng, i, q6):
     h = 1e-6
-    worst = 0.0
     zero6 = np.zeros(6)
-    for _ in range(n):
-        i = int(rng.integers(0, 3))
-        q6 = _sample_tree_q(rng)
-        gam = tree_newton_euler(model, i, q6, zero6, zero6)
-        grad = np.empty(6)
-        for k in range(6):
-            e = np.zeros(6)
-            e[k] = h
-            grad[k] = (_tree_potential(model, i, q6 + e) - _tree_potential(model, i, q6 - e)) / (2.0 * h)
-        worst = _worse(worst, _rel(gam - grad, gam))
-    return worst, n
+    gam = tree_newton_euler(model, i, q6, zero6, zero6)
+    grad = np.empty(6)
+    for k in range(6):
+        e = np.zeros(6)
+        e[k] = h
+        U_plus = _slots_potential(model, i, tree_slots(q6 + e))
+        U_minus = _slots_potential(model, i, tree_slots(q6 - e))
+        grad[k] = (U_plus - U_minus) / (2.0 * h)
+    return _rel(gam - grad, gam)
 
 
-def _check_torque_decomposition(model, rng, n):
-    worst = 0.0
-    for _ in range(n):
-        i = int(rng.integers(0, 3))
-        q = _sample_chain_q(rng)
-        qd = rng.normal(0.0, 1.0, 3)
-        qdd = rng.normal(0.0, 2.0, 3)
-        H = chain_torques_H(model, i, q, qd, qdd)
-        recomposed = chain_inertia_A(model, i, q) @ qdd + chain_bias_h(model, i, q, qd)
-        worst = _worse(worst, _rel(H - recomposed, H))
-    return worst, n
+def _torque_decomposition(model, rng, i, q):
+    qd = rng.normal(0.0, 1.0, 3)
+    qdd = rng.normal(0.0, 2.0, 3)
+    H = chain_torques_H(model, i, q, qd, qdd)
+    recomposed = chain_inertia_A(model, i, q) @ qdd + chain_bias_h(model, i, q, qd)
+    return _rel(H - recomposed, H)
 
 
-def _check_inertia_symmetry(model, rng, n):
-    worst = 0.0
+def _inertia_symmetry(model, rng, i, q):
     m0 = model_with_gravity(model, (0.0, 0.0, 0.0))
-    zero = np.zeros(3)
-    for _ in range(n):
-        i = int(rng.integers(0, 3))
-        q = _sample_chain_q(rng)
-        A = np.array([chain_torques_H(m0, i, q, zero, e) for e in np.eye(3)]).T
-        worst = _worse(worst, float(np.abs(A - A.T).max() / max(1.0, np.abs(A).max())))
-    return worst, n
+    A = np.array([chain_torques_H(m0, i, q, np.zeros(3), e) for e in np.eye(3)]).T
+    return float(np.abs(A - A.T).max() / max(1.0, np.abs(A).max()))
 
 
 def _check_inertia_spd(model, rng, n):
     worst = 0.0
-    for _ in range(n):
-        i = int(rng.integers(0, 3))
-        A = chain_inertia_A(model, i, _sample_chain_q(rng))
+    for i, q in _chains(model, rng, n):
+        A = chain_inertia_A(model, i, q)
         lam = float(np.linalg.eigvalsh(A).min())
         worst = _worse(worst, _worse(0.0, -lam) / max(1.0, float(np.abs(A).max())))
     for p in sample_platform_points(model, rng, max(1, n // 4)):
@@ -514,33 +498,24 @@ def _check_inertia_spd(model, rng, n):
     return worst, n
 
 
-def _check_chain_kinetic_quadratic(model, rng, n):
-    worst = 0.0
-    for _ in range(n):
-        i = int(rng.integers(0, 3))
-        q = _sample_chain_q(rng)
-        qd = rng.normal(0.0, 1.0, 3)
-        T = chain_kinetic_energy(model, i, q, qd)
-        Tq = 0.5 * float(qd @ chain_inertia_A(model, i, q) @ qd)
-        worst = _worse(worst, abs(T - Tq) / (1.0 + abs(T)))
-    return worst, n
+def _chain_kinetic_quadratic(model, rng, i, q):
+    qd = rng.normal(0.0, 1.0, 3)
+    T = chain_kinetic_energy(model, i, q, qd)
+    Tq = 0.5 * float(qd @ chain_inertia_A(model, i, q) @ qd)
+    return abs(T - Tq) / (1.0 + abs(T))
 
 
-def _check_robot_kinetic_quadratic(model, rng, n):
-    worst = 0.0
-    for _ in range(n):
-        p, v, _ = _sample_state(model, rng)
-        _, cq = igm(model, p)
-        _, cqd = ik_velocity(model, cq, v)
-        A_robot, _ = assemble_robot_dyn(model, cq, cqd)
-        T = kinetic_energy(model, p, v)
-        Tq = 0.5 * float(v @ A_robot @ v)
-        worst = _worse(worst, abs(T - Tq) / (1.0 + abs(T)))
-    return worst, n
+def _robot_kinetic_quadratic(model, rng, p, v, a):
+    _, cq = igm(model, p)
+    _, cqd = ik_velocity(model, cq, v)
+    A_robot, _ = assemble_robot_dyn(model, cq, cqd)
+    T = kinetic_energy(model, p, v)
+    Tq = 0.5 * float(v @ A_robot @ v)
+    return abs(T - Tq) / (1.0 + abs(T))
 
 
 def _check_lagrangian(model, rng, n):
-    P, V, A = map(np.array, zip(*(_sample_state(model, rng) for _ in range(n))))
+    P, V, A = map(np.array, zip(*_states(model, rng, n)))
     worst = 0.0
     for p, v, a, gam in zip(P, V, A, _inverse_dynamics_many(model, P, V, A)):
         gam_oracle = lagrangian_idm_oracle(model, p, v, a)
@@ -548,57 +523,53 @@ def _check_lagrangian(model, rng, n):
     return worst, n
 
 
-def _check_reaction_balance(model, rng, n):
-    worst = 0.0
-    for _ in range(n):
-        p, v, a = _sample_state(model, rng)
-        gam = inverse_dynamics(model, p, v, a)
-        _, cq = igm(model, p)
-        _, cqd = ik_velocity(model, cq, v)
-        total = np.zeros(3)
-        for i in range(3):
-            qdd = ik_acceleration(model, i, cq[i], cqd[i], a)
-            total += chain_reaction_force(model, i, cq[i], cqd[i], qdd, gam[i])
-        worst = _worse(worst, float(np.abs(total - platform_force(model, a)).max()))
-    return worst, n
+def _reaction_balance(model, rng, p, v, a):
+    gam = inverse_dynamics(model, p, v, a)
+    _, cq = igm(model, p)
+    _, cqd = ik_velocity(model, cq, v)
+    total = np.zeros(3)
+    for i in range(3):
+        qdd = ik_acceleration(model, i, cq[i], cqd[i], a)
+        total += chain_reaction_force(model, i, cq[i], cqd[i], qdd, gam[i])
+    return float(np.abs(total - platform_force(model, a)).max())
 
 
-def _check_reaction_unit_column(model, rng, n):
-    worst = 0.0
+def _reaction_unit_column(model, rng, p):
     m0 = model_with_gravity(model, (0.0, 0.0, 0.0))
     zero = np.zeros(3)
-    for p in sample_platform_points(model, rng, n):
-        _, cq = igm(m0, p)
-        Jp_inv = robot_jacobian_inverse(m0, cq)
-        for i in range(3):
-            f = chain_reaction_force(m0, i, cq[i], zero, zero, 1.0)
-            worst = _worse(worst, float(np.abs(f - Jp_inv[i]).max()))
-    return worst, n
+    _, cq = igm(m0, p)
+    Jp_inv = robot_jacobian_inverse(m0, cq)
+    return float(np.abs([chain_reaction_force(m0, i, cq[i], zero, zero, 1.0) - Jp_inv[i] for i in range(3)]).max())
 
 
 def _check_idm_ddm_round_trip(model, rng, n):
-    P, V, A = map(np.array, zip(*(_sample_state(model, rng) for _ in range(n))))
+    P, V, A = map(np.array, zip(*_states(model, rng, n)))
     worst = 0.0
     for a, a2 in zip(A, _direct_dynamics_many(model, P, V, _inverse_dynamics_many(model, P, V, A))):
         worst = _worse(worst, _rel(a2 - a, a))
     return worst, n
 
 
-def _check_static_gradient(model, rng, n):
+def _static_gradient(model, rng, p):
     h = 1e-6
-    worst = 0.0
     zero = np.zeros(3)
-    for p in sample_platform_points(model, rng, n):
-        gam = inverse_dynamics(model, p, zero, zero)
-        grad = np.empty(3)
-        for k in range(3):
-            e = np.zeros(3)
-            e[k] = h
-            grad[k] = (potential_energy(model, p + e) - potential_energy(model, p - e)) / (2.0 * h)
-        _, cq = igm(model, p)
-        expected = np.linalg.solve(robot_jacobian_inverse(model, cq).T, grad)
-        worst = _worse(worst, _rel(gam - expected, gam))
-    return worst, n
+    gam = inverse_dynamics(model, p, zero, zero)
+    grad = np.empty(3)
+    for k in range(3):
+        e = np.zeros(3)
+        e[k] = h
+        grad[k] = (potential_energy(model, p + e) - potential_energy(model, p - e)) / (2.0 * h)
+    _, cq = igm(model, p)
+    expected = np.linalg.solve(robot_jacobian_inverse(model, cq).T, grad)
+    return _rel(gam - expected, gam)
+
+
+def _completed_run(name, *args):
+    """simulate(*args) if the run completed; NumericalError naming the run if not."""
+    res = simulate(*args)
+    if not res.completed:
+        raise NumericalError("%s run stopped early: %s" % (name, res.stop_reason))
+    return res
 
 
 _DRIFT_GRAVITY = (0.0, 0.0, -0.2)
@@ -617,9 +588,7 @@ def _check_energy_drift(model, rng, n):
     chain0 = model.chains[0]
     pack0 = model._packs[0]
     p0 = pack0.anchor + pack0.axis * (chain0.d4 + chain0.d6)
-    res = simulate(m, p0, _DRIFT_V0, None, SimConfig(dt=1e-4, t_end=1.0, record_every=10))
-    if not res.completed:
-        raise NumericalError("conservation run stopped early: %s" % res.stop_reason)
+    res = _completed_run("conservation", m, p0, _DRIFT_V0, None, SimConfig(dt=1e-4, t_end=1.0, record_every=10))
     T, E = np.array([_energies(m, s.P, s.V) for s in res.samples]).T
     # the potential offset is arbitrary, so normalize drift by the actual
     # energy exchange seen during the run
@@ -637,9 +606,7 @@ def _tracking_setup(model, rng):
 def _check_tracking(model, rng, n):
     path, p0 = _tracking_setup(model, rng)
     torque = feedforward_torque(model, path)
-    res = simulate(model, p0, np.zeros(3), torque, SimConfig(dt=1e-4, t_end=0.5, record_every=10))
-    if not res.completed:
-        raise NumericalError("tracking run stopped early: %s" % res.stop_reason)
+    res = _completed_run("tracking", model, p0, np.zeros(3), torque, SimConfig(dt=1e-4, t_end=0.5, record_every=10))
     worst = 0.0
     for s in res.samples:
         worst = _worse(worst, float(np.linalg.norm(s.P - path(s.t)[0])))
@@ -650,10 +617,7 @@ def _check_power_balance(model, rng, n):
     path, p0 = _tracking_setup(model, rng)
     torque = feedforward_torque(model, path)
     dt = 5e-4
-    res = simulate(model, p0, np.zeros(3), torque, SimConfig(dt=dt, t_end=0.5))
-    if not res.completed:
-        raise NumericalError("power balance run stopped early: %s" % res.stop_reason)
-    samples = res.samples
+    samples = _completed_run("power balance", model, p0, np.zeros(3), torque, SimConfig(dt=dt, t_end=0.5)).samples
     E = np.array([total_energy(model, s.P, s.V) for s in samples])
     P_in = np.array([float(s.Gamma @ s.Ldot) for s in samples])
     scale = 1.0 + float(np.abs(P_in).max())
@@ -674,26 +638,26 @@ def _check_isotropic_inverse(model, rng, n):
 
 
 _CHECKS = (
-    ("igm_forward_round_trip", 1000, 1e-9, _check_igm_round_trip),
-    ("jacobian_fd", 200, 1e-6, _check_jacobian_fd),
-    ("jacobian_inverse_identity", 1000, 1e-10, _check_jacobian_inverse_identity),
-    ("robot_rows_match_chains", 100, 0.0, _check_robot_rows),
-    ("jacobian_dot_fd", 200, 1e-5, _check_jacobian_dot_fd),
+    ("igm_forward_round_trip", 1000, 1e-9, _per_sample(_points, _igm_round_trip)),
+    ("jacobian_fd", 200, 1e-6, _per_sample(_chains, _jacobian_fd)),
+    ("jacobian_inverse_identity", 1000, 1e-10, _per_sample(_chains, _jacobian_inverse_identity)),
+    ("robot_rows_match_chains", 100, 0.0, _per_sample(_points, _robot_rows)),
+    ("jacobian_dot_fd", 200, 1e-5, _per_sample(_chains, _jacobian_dot_fd)),
     ("acceleration_consistency", 10, 1e-4, _check_acceleration_consistency),
-    ("closure_gap", 100, 1e-12, _check_closure_gap),
-    ("wrist_axis_fixed", 100, 1e-12, _check_wrist_axis),
-    ("tree_inertia_crb", 50, 1e-9, _check_tree_inertia_crb),
-    ("gravity_vs_potential_gradient", 100, 1e-5, _check_gravity_gradient),
-    ("torque_decomposition", 100, 1e-9, _check_torque_decomposition),
-    ("inertia_symmetry", 100, 1e-10, _check_inertia_symmetry),
+    ("closure_gap", 100, 1e-12, _per_sample(_chains, _closure_gap)),
+    ("wrist_axis_fixed", 100, 1e-12, _per_sample(_chains, _wrist_axis)),
+    ("tree_inertia_crb", 50, 1e-9, _per_sample(_trees, _tree_inertia_crb)),
+    ("gravity_vs_potential_gradient", 100, 1e-5, _per_sample(_trees, _gravity_gradient)),
+    ("torque_decomposition", 100, 1e-9, _per_sample(_chains, _torque_decomposition)),
+    ("inertia_symmetry", 100, 1e-10, _per_sample(_chains, _inertia_symmetry)),
     ("inertia_positive_definite", 100, 0.0, _check_inertia_spd),
-    ("chain_kinetic_quadratic", 100, 1e-9, _check_chain_kinetic_quadratic),
-    ("robot_kinetic_quadratic", 100, 1e-9, _check_robot_kinetic_quadratic),
+    ("chain_kinetic_quadratic", 100, 1e-9, _per_sample(_chains, _chain_kinetic_quadratic)),
+    ("robot_kinetic_quadratic", 100, 1e-9, _per_sample(_states, _robot_kinetic_quadratic)),
     ("lagrangian_match", 200, 1e-4, _check_lagrangian),
-    ("reaction_balance", 100, 1e-9, _check_reaction_balance),
-    ("reaction_unit_column", 100, 1e-12, _check_reaction_unit_column),
+    ("reaction_balance", 100, 1e-9, _per_sample(_states, _reaction_balance)),
+    ("reaction_unit_column", 100, 1e-12, _per_sample(_points, _reaction_unit_column)),
     ("idm_ddm_round_trip", 1000, 1e-8, _check_idm_ddm_round_trip),
-    ("static_vs_potential_gradient", 100, 1e-5, _check_static_gradient),
+    ("static_vs_potential_gradient", 100, 1e-5, _per_sample(_points, _static_gradient)),
     ("power_balance", 1, 1e-4, _check_power_balance),
     ("energy_drift_conservative", 1, 1e-6, _check_energy_drift),
     ("tracking_error", 1, 1e-5, _check_tracking),
@@ -714,8 +678,14 @@ def run_verification(model, seed=DEFAULT_SEED, n_samples=100, tolerances=None, c
     subset run reproduces exactly what the full run sees. A check that
     raises a package error, a numpy linear-algebra error or an
     ArithmeticError records an infinite error; a NaN error is reported as
-    NaN. Either fails the check. Each report carries its wall time.
+    NaN. Either fails the check. Each report carries its wall time. A seed
+    that is not a non-negative integer, or an n_samples that is not an
+    integer >= 1, raises ValidationError.
     """
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValidationError("seed must be a non-negative integer, got %r" % (seed,))
+    if not (isinstance(n_samples, numbers.Integral) and n_samples >= 1):
+        raise ValidationError("n_samples must be an integer >= 1, got %r" % (n_samples,))
     tols = dict(TOLERANCES)
     for src in (model.verify_overrides, tolerances or {}):
         for key, val in src.items():

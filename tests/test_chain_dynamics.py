@@ -25,11 +25,13 @@ from orthoglide import (
     tree_newton_euler,
 )
 from orthoglide import _kernels, robot_dynamics
-from orthoglide.chain_dynamics import _REST, _UNIT_ACCELERATIONS, _free_efforts, _leg_dynamics, _reduce3, _sweep
-from orthoglide.model import TREE_ROWS, _closure_rates, closure_positions, closure_rates
-from orthoglide.verify import _sample_state, _tree_potential
+from orthoglide.chain_dynamics import _UNIT_ACCELERATIONS, _free_efforts, _leg_dynamics, _reduce3, _sweep
+from orthoglide.model import TREE_ROWS, _closure_rates, closure_positions, closure_rates, tree_slots
+from orthoglide.verify import _sample_state, _slots_potential
 
 HALF_PI = math.pi / 2
+# zero rates or accelerations in all nine frame slots
+_REST = (0.0,) * 9
 
 
 def _rand_q(rng):
@@ -62,7 +64,9 @@ def test_static_tree_efforts_match_potential_gradient(model, rng):
         for k in range(6):
             e = np.zeros(6)
             e[k] = h
-            g_fd = (_tree_potential(model, i, q6 + e) - _tree_potential(model, i, q6 - e)) / (2 * h)
+            U_plus = _slots_potential(model, i, tree_slots(q6 + e))
+            U_minus = _slots_potential(model, i, tree_slots(q6 - e))
+            g_fd = (U_plus - U_minus) / (2 * h)
             assert abs(gam[k] - g_fd) < 1e-7 * (1 + abs(gam[k]))
 
 

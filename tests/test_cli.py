@@ -100,6 +100,23 @@ def test_simulate_non_finite_time_settings_exit_1(capsys, flag, value):
     assert capsys.readouterr().err.startswith("ERROR:ValidationError:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["verify", "--seed", "-1"],
+        ["verify", "--samples", "0"],
+        ["verify", "--samples", "-3"],
+        # a step count that overflows (5e-324) or that numpy cannot size (1e-300)
+        ["simulate", "--point", "0,0,0.6", "--dt", "5e-324"],
+        ["simulate", "--point", "0,0,0.6", "--dt", "1e-300"],
+    ),
+    ids=("seed=-1", "samples=0", "samples=-3", "dt=5e-324", "dt=1e-300"),
+)
+def test_out_of_range_settings_exit_1(capsys, argv):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("ERROR:ValidationError:")
+
+
 def test_simulate_with_torque_file(tmp_path, capsys):
     tq = tmp_path / "tq.csv"
     tq.write_text("t,G1,G2,G3\n0.0,0.0,0.0,9.81\n0.005,0.0,0.0,0.0\n")

@@ -199,6 +199,13 @@ def test_bad_run_settings_rejected(model):
             simulate(model, P_HOME, (0, 0, 0), config=cfg)
 
 
+@pytest.mark.parametrize("dt", (5e-324, 1e-300))
+def test_dt_too_small_to_count_or_record_the_steps_is_rejected(model, dt):
+    # t_end / dt overflows at 5e-324; at 1e-300 numpy cannot size 1e300 records
+    with pytest.raises(ValidationError, match="too small"):
+        simulate(model, P_HOME, (0, 0, 0), config=SimConfig(dt=dt, t_end=1.0))
+
+
 def test_t_end_off_the_step_grid_is_rejected(model):
     # 0.01 / 0.003 = 3.33 steps: the run used to stop at 0.009 and report completed
     with pytest.raises(ValidationError, match="whole number of dt"):

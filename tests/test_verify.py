@@ -70,6 +70,17 @@ def test_unknown_check_name_rejected():
         run_verification(dataclasses.replace(model, verify_overrides={"nope": 1.0}), n_samples=1)
 
 
+@pytest.mark.parametrize(
+    "setting",
+    ({"seed": -1}, {"seed": 1.5}, {"seed": "42"}, {"n_samples": 0}, {"n_samples": -3}, {"n_samples": math.nan},
+     {"n_samples": 2.5}),
+    ids=lambda setting: "%s=%r" % next(iter(setting.items())),
+)
+def test_bad_seed_or_sample_count_rejected(setting):
+    with pytest.raises(ValidationError, match=next(iter(setting))):
+        run_verification(default_model(), checks=("isotropic_inverse",), **setting)
+
+
 def test_config_refuses_an_unknown_verify_key():
     with pytest.raises(ValidationError, match="isotropic_invers"):
         load_model(DEFAULT_CONFIG + "\n[verify]\nisotropic_invers = 1e-30\n")
