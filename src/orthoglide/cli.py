@@ -133,7 +133,7 @@ def _cmd_simulate(args):
 def _cmd_verify(args):
     model = _get_model(args)
     checks = None
-    if args.checks:
+    if args.checks is not None:
         checks = [c for c in args.checks.replace(",", " ").split() if c]
     reports = run_verification(model, seed=args.seed, n_samples=args.samples, checks=checks)
     print(format_report_table(reports))

@@ -35,7 +35,7 @@ the loader ignores those keys in older files. Inertia sections
 give mass (kg), ms (first moment m*c, kg m, 3 numbers) and inertia (9
 numbers, row major, kg m^2), both about the link frame. An optional
 [verify] section overrides verification tolerances by check name; an
-unknown name is refused.
+unknown name or a NaN or negative tolerance is refused.
 """
 
 from __future__ import annotations
@@ -264,7 +264,8 @@ def load_model(source) -> RobotModel:
     A string containing a newline is treated as config text, anything else
     as a filesystem path. Raises ParseError for malformed input and
     ValidationError for a model that parses but is inconsistent, or whose
-    [verify] section names a check that does not exist.
+    [verify] section names a check that does not exist or a NaN or
+    negative tolerance.
     """
     if isinstance(source, os.PathLike):
         text = os.fspath(source)
@@ -316,11 +317,11 @@ def load_model(source) -> RobotModel:
 
     overrides = {}
     if cp.has_section("verify"):
-        from .verify import CHECK_NAMES  # verify imports this module
+        from .verify import CHECK_NAMES, _tolerance  # verify imports this module
         for key in cp.options("verify"):
             if key not in CHECK_NAMES:
                 raise ValidationError("[verify]: unknown verification check '%s'" % key)
-            overrides[key] = _get_float(cp, "verify", key)
+            overrides[key] = _tolerance(key, _get_float(cp, "verify", key))
 
     model = RobotModel(
         chains=tuple(chains),

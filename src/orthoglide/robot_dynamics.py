@@ -14,9 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from .chain_dynamics import _leg_dynamics, _leg_dynamics_many, _rows, _torques_many, chain_torques_H
-from .errors import ChainSingular, NumericalError, OrthoglideError, require_finite
+from .errors import NumericalError, OrthoglideError, ValidationError, require_finite
 from .kinematics import (
     _FOLD_LIMIT, _jacobian_dot_terms, _jacobian_terms, chain_jacobian_dot, chain_jacobian_inverse, igm,
+    robot_jacobian_inverse,
 )
 
 _EYE3 = np.eye(3)
@@ -24,10 +25,13 @@ _EYE3.flags.writeable = False
 
 
 def _finite_vectors(**vectors):
-    """The named 3-vectors as float arrays; NumericalError names a non-finite one."""
+    """The named 3-vectors as float arrays; ValidationError names one not 3 numbers, NumericalError a non-finite one."""
     out = []
     for name, value in vectors.items():
-        v = np.asarray(value, dtype=float).reshape(3)
+        try:
+            v = np.asarray(value, dtype=float).reshape(3)
+        except (TypeError, ValueError):
+            raise ValidationError("%s must be 3 numbers, got %r" % (name, value)) from None
         require_finite(name, v.tolist())
         out.append(v)
     return out
@@ -172,18 +176,28 @@ def _base_stack(terms, j20):
     return _rows(len(t01), 0.0, t01, t02, 0.0, 0.0, t12, j20, t21, t22).reshape(-1, 3, 3)
 
 
+def _geometry_many(model, P):
+    """Chain angles (3 chains, 3 coordinates, N) and Jacobian inverses (3, N, 3, 3) at the
+    points P (N, 3), each bit for bit the scalar one. igm runs point by point and the fold
+    guard over all of them, so the first point that fails raises the scalar error."""
+    Q = np.array([igm(model, p)[1] for p in P]).reshape(-1, 3, 3).transpose(1, 2, 0)
+    c2, s2, c3, s3 = np.cos(Q[:, 1]), np.sin(Q[:, 1]), np.cos(Q[:, 2]), np.sin(Q[:, 2])
+    fold = ((np.abs(c3) <= _FOLD_LIMIT) | (np.abs(s2) <= _FOLD_LIMIT)).any(axis=0)
+    if fold.any():
+        robot_jacobian_inverse(model, Q[:, :, fold.argmax()])  # raises the scalar guard's ChainSingular
+    stacks = [pack.R_base @ _base_stack(_jacobian_terms(pack.d4, *trig), 1.0)
+              for pack, *trig in zip(model._packs, c2, s2, c3, s3)]
+    return Q, np.linalg.inv(stacks)
+
+
 def _legs(model, P, V):
     """Per chain at the states (P, V): the angles (3, N), rates (N, 3), Jacobian
     inverses and Jacobian rates; raises where a scalar guard would trip."""
-    chain_q = np.array([igm(model, p)[1] for p in P])
+    Q, jinvs = _geometry_many(model, P)
     legs = []
-    for i, pack in enumerate(model._packs):
-        q = chain_q[:, i].T
-        c2, s2, c3, s3 = np.cos(q[1]), np.sin(q[1]), np.cos(q[2]), np.sin(q[2])
-        if (np.abs(c3) <= _FOLD_LIMIT).any() or (np.abs(s2) <= _FOLD_LIMIT).any():
-            raise ChainSingular(i + 1, "a state of the batch is at a fold")
-        Jinv = np.linalg.inv(pack.R_base @ _base_stack(_jacobian_terms(pack.d4, c2, s2, c3, s3), 1.0))
+    for pack, q, Jinv in zip(model._packs, Q, jinvs):
         qd = _mv(Jinv, V)
+        c2, s2, c3, s3 = np.cos(q[1]), np.sin(q[1]), np.cos(q[2]), np.sin(q[2])
         Jd = pack.R_base @ _base_stack(_jacobian_dot_terms(pack.d4, c2, s2, c3, s3, qd[:, 1], qd[:, 2]), 0.0)
         legs.append((q, qd, Jinv, Jd))
     return legs

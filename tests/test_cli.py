@@ -154,6 +154,20 @@ def test_verify_misspelt_check_is_a_validation_error(capsys):
     assert capsys.readouterr().err.startswith("ERROR:ValidationError:")
 
 
+@pytest.mark.parametrize("checks", (",", " , ", ""))
+def test_verify_empty_check_selection_is_a_validation_error(capsys, checks):
+    assert main(["verify", "--samples", "1", "--checks", checks]) == 1
+    assert capsys.readouterr().err.startswith("ERROR:ValidationError:")
+
+
+@pytest.mark.parametrize("tol", ("nan", "-1"))
+def test_verify_nan_or_negative_tolerance_in_the_model_exits_1(tmp_path, capsys, tol):
+    cfg = tmp_path / "m.ini"
+    cfg.write_text(DEFAULT_CONFIG + "\n[verify]\nisotropic_inverse = %s\n" % tol)
+    assert main(["verify", "--model", str(cfg), "--samples", "1", "--checks", "isotropic_inverse"]) == 1
+    assert capsys.readouterr().err.startswith("ERROR:ValidationError:")
+
+
 def test_verify_json_report(tmp_path, capsys):
     rep = tmp_path / "report.json"
     rc = main([

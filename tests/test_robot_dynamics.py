@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from orthoglide import (
+    ChainSingular,
     NumericalError,
     SimConfig,
+    ValidationError,
     assemble_robot_dyn,
     cartesian_chain_model,
     chain_bias_h,
@@ -130,6 +132,36 @@ def test_non_finite_state_is_numerical_error(model, fn, arg, name, bad):
     args[arg][1] = bad
     with pytest.raises(NumericalError, match="non-finite %s" % name):
         fn(model, *args)
+
+
+@pytest.mark.parametrize("fn", (direct_dynamics, inverse_dynamics))
+@pytest.mark.parametrize("arg, bad", ((0, (0.0, 0.6)), (1, (0.1, 0.0, 0.0, 0.0)), (2, ("a", 0.0, 0.0)), (2, None)))
+def test_wrong_shape_or_non_numeric_vector_is_validation_error(model, fn, arg, bad):
+    args = [[0.0, 0.0, 0.6], [0.1, 0.0, 0.0], [0.5, 0.0, 0.0]]
+    args[arg] = bad
+    name = fn.__code__.co_varnames[1 + arg]
+    with pytest.raises(ValidationError, match="^%s must be 3 numbers, got " % name):
+        fn(model, *args)
+
+
+def test_batched_geometry_raises_the_scalar_fold_error_of_the_first_failing_point(model, monkeypatch):
+    P = np.array([[0.0, 0.0, 0.6], [0.01, 0.0, 0.6], [0.02, 0.0, 0.6]])
+    folded = {1: (2, 2, 0.5 * np.pi), 2: (0, 1, 0.0)}  # point -> (chain, coordinate, value at a fold)
+
+    def igm_with_folds(model, p):
+        L, chain_q = igm(model, p)
+        k = int(round(p[0] / 0.01))
+        if k in folded:
+            chain, coordinate, value = folded[k]
+            chain_q[chain, coordinate] = value
+        return L, chain_q
+
+    monkeypatch.setattr(robot_dynamics, "igm", igm_with_folds)
+    with pytest.raises(ChainSingular) as got:
+        robot_dynamics._geometry_many(model, P)
+    with pytest.raises(ChainSingular) as expected:
+        robot_jacobian_inverse(model, igm_with_folds(model, P[1])[1])
+    assert str(got.value) == str(expected.value) and got.value.chain == 3
 
 
 @pytest.mark.filterwarnings("error")

@@ -15,6 +15,7 @@ from orthoglide import (
     format_report_table,
     igm,
     ik_velocity,
+    inverse_dynamics,
     kinetic_energy,
     lagrangian_idm_oracle,
     load_model,
@@ -23,6 +24,7 @@ from orthoglide import (
     reports_by_name,
     robot_jacobian_inverse,
     run_verification,
+    total_energy,
 )
 from orthoglide import verify
 from orthoglide.model import TREE_ROWS, closure_positions
@@ -79,6 +81,41 @@ def test_unknown_check_name_rejected():
 def test_bad_seed_or_sample_count_rejected(setting):
     with pytest.raises(ValidationError, match=next(iter(setting))):
         run_verification(default_model(), checks=("isotropic_inverse",), **setting)
+
+
+@pytest.mark.parametrize("tol", ("x", "1e-6", None, math.nan, -1.0, [1e-6]), ids=repr)
+def test_bad_tolerance_rejected(tol):
+    with pytest.raises(ValidationError, match="tolerance of 'isotropic_inverse'"):
+        run_verification(default_model(), checks=("isotropic_inverse",), tolerances={"isotropic_inverse": tol})
+    bad = dataclasses.replace(default_model(), verify_overrides={"isotropic_inverse": tol})
+    with pytest.raises(ValidationError, match="tolerance of 'isotropic_inverse'"):
+        run_verification(bad, checks=("isotropic_inverse",))
+
+
+@pytest.mark.parametrize("tol", ("nan", "-1e-6"))
+def test_config_refuses_a_nan_or_negative_tolerance(tol):
+    with pytest.raises(ValidationError, match="tolerance of 'jacobian_fd'"):
+        load_model(DEFAULT_CONFIG + "\n[verify]\njacobian_fd = %s\n" % tol)
+
+
+def test_infinite_tolerance_is_accepted():
+    tolerances = {"isotropic_inverse": math.inf}
+    (rep,) = run_verification(default_model(), checks=("isotropic_inverse",), tolerances=tolerances)
+    assert rep.tolerance == math.inf and rep.passed
+    model = load_model(DEFAULT_CONFIG + "\n[verify]\njacobian_fd = inf\n")
+    assert model.verify_overrides == {"jacobian_fd": math.inf}
+
+
+@pytest.mark.parametrize("checks", ([], (), iter(()), "isotropic_inverse"), ids=("list", "tuple", "iterator", "string"))
+def test_empty_or_string_check_selection_rejected(checks):
+    with pytest.raises(ValidationError, match="checks must name at least one check"):
+        run_verification(default_model(), n_samples=1, checks=checks)
+
+
+def test_check_selection_may_be_any_iterable():
+    reports = run_verification(default_model(), n_samples=1, checks=iter(("closure_gap", "isotropic_inverse")))
+    assert [r.check_name for r in reports] == ["closure_gap", "isotropic_inverse"]
+    assert format_report_table([]) == ""
 
 
 def test_config_refuses_an_unknown_verify_key():
@@ -289,6 +326,100 @@ def test_lagrangian_oracle_is_bitwise_the_per_call_version(model):
     for _ in range(12):
         p, v, a = verify._sample_state(model, rng)
         assert lagrangian_idm_oracle(model, p, v, a).tobytes() == _lagrangian_per_call(model, p, v, a).tobytes()
+
+
+def _batch_states(model, seed, n):
+    rng = np.random.default_rng(seed)
+    return tuple(map(np.array, zip(*(verify._sample_state(model, rng) for _ in range(n)))))
+
+
+@pytest.mark.parametrize("gravity", (None, (1.3, -2.1, -9.0)), ids=("default", "tilted"))
+def test_batched_energies_are_the_scalar_functions(model, gravity):
+    m = model if gravity is None else model_with_gravity(model, gravity)
+    P, V, _ = _batch_states(model, 21, 1000)
+    T, E = verify._energies(m, P, V)
+    U = verify._potential_at(m, P, np.array([igm(m, p)[1] for p in P]).transpose(1, 2, 0))
+    assert T.tobytes() == np.array([kinetic_energy(m, p, v) for p, v in zip(P, V)]).tobytes()
+    assert U.tobytes() == np.array([potential_energy(m, p) for p in P]).tobytes()
+    assert E.tobytes() == np.array([total_energy(m, p, v) for p, v in zip(P, V)]).tobytes()
+
+
+def test_batched_oracle_is_bitwise_the_per_call_version(model):
+    P, V, A = _batch_states(model, 13, 200)
+    expected = np.array([_lagrangian_per_call(model, p, v, a) for p, v, a in zip(P, V, A)])
+    assert verify._lagrangian_many(model, P, V, A).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "point, v, a",
+    (
+        (lambda m: (0.0, 0.0, 5.0), (0.1, 0.0, 0.0), (0.5, 0.0, 0.0)),
+        (lambda m: (0.6, 0.0, 0.6), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+        # chain 1 at its folds: q3 = pi/2, and q2 = 0
+        (lambda m: verify.chain_forward_point(m, 0, (0.0, -0.5 * math.pi, 0.5 * math.pi)), (0.0,) * 3, (0.0,) * 3),
+        (lambda m: verify.chain_forward_point(m, 0, (0.0, 0.0, 0.2)), (0.02, -0.01, 0.0), (0.0, 0.3, 0.0)),
+    ),
+    ids=("far", "outside", "fold-q3", "fold-q2"),
+)
+def test_oracle_refuses_a_state_as_the_per_state_stencil_does(model, point, v, a):
+    p = point(model)
+    with pytest.raises(Exception) as expected:
+        _lagrangian_per_call(model, p, v, a)
+    with pytest.raises(type(expected.value)) as got:
+        lagrangian_idm_oracle(model, p, v, a)
+    assert str(got.value) == str(expected.value)
+
+
+def test_oracle_refuses_a_non_finite_state_by_name(model):
+    with pytest.raises(NumericalError) as got:
+        lagrangian_idm_oracle(model, (0.0, 0.0, 0.6), (0.1, math.nan, 0.0), (0.5, 0.0, 0.0))
+    assert str(got.value) == "non-finite v [0.1, nan, 0.0]"
+
+
+def _lagrangian_per_sample(model, rng, n):
+    P, V, A = map(np.array, zip(*verify._states(model, rng, n)))
+    worst = 0.0
+    for p, v, a in zip(P, V, A):
+        gam = inverse_dynamics(model, p, v, a)
+        worst = verify._worse(worst, verify._rel(gam - _lagrangian_per_call(model, p, v, a), gam))
+    return worst, n
+
+
+def _static_gradient_per_sample(model, rng, n):
+    h = 1e-6
+    zero = np.zeros(3)
+    worst = 0.0
+    for p in sample_platform_points(model, rng, n):
+        gam = inverse_dynamics(model, p, zero, zero)
+        grad = np.array([potential_energy(model, p + e) - potential_energy(model, p - e) for e in h * np.eye(3)])
+        expected = np.linalg.solve(robot_jacobian_inverse(model, igm(model, p)[1]).T, grad / (2.0 * h))
+        worst = verify._worse(worst, verify._rel(gam - expected, gam))
+    return worst, n
+
+
+def _energies_per_sample(model, P, V):
+    return np.array([(kinetic_energy(model, p, v), total_energy(model, p, v)) for p, v in zip(P, V)]).T
+
+
+@pytest.mark.parametrize("seed", (42, 7))
+def test_batched_checks_report_as_their_per_sample_versions(monkeypatch, seed):
+    """lagrangian_match, static_vs_potential_gradient, and the two energy
+    checks with per-sample energies; the simulations run for 1/20 of their
+    time to keep this short, the same runs on both sides."""
+    simulate = verify.simulate
+
+    def shortened(model, p0, v0, torque, config):
+        return simulate(model, p0, v0, torque, dataclasses.replace(config, t_end=config.t_end / 20))
+
+    monkeypatch.setattr(verify, "simulate", shortened)
+    names = ("lagrangian_match", "static_vs_potential_gradient", "energy_drift_conservative", "power_balance")
+    batched = run_verification(default_model(), seed=seed, n_samples=10, checks=names)
+    local = {"lagrangian_match": _lagrangian_per_sample, "static_vs_potential_gradient": _static_gradient_per_sample}
+    monkeypatch.setattr(verify, "_CHECKS", tuple((nm, c, t, local.get(nm, fn)) for nm, c, t, fn in verify._CHECKS))
+    monkeypatch.setattr(verify, "_energies", _energies_per_sample)
+    per_sample = run_verification(default_model(), seed=seed, n_samples=10, checks=names)
+    assert [r.samples for r in batched] == [20, 10, 49, 51]
+    assert [(r, repr(r.max_rel_err)) for r in batched] == [(r, repr(r.max_rel_err)) for r in per_sample]
 
 
 @pytest.mark.parametrize("bad", (math.nan, math.inf))
