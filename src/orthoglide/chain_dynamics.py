@@ -21,7 +21,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import NumericalError, require_finite
-from .model import _closure_positions, _closure_rates, closure_positions, closure_rates, tree_slots
+from .model import (_closure_positions, _closure_rates, _finite_closure, _pack, closure_positions, closure_rates,
+                    tree_slots)
 
 _ZERO3 = (0.0, 0.0, 0.0)
 # the raw inertia columns must match their transpose to this (relative), scalar and batched paths alike
@@ -41,7 +42,7 @@ def _reduce3(gam):
 
 def _sweep(model, i, q, qd, qdd):
     """Tree efforts of chain i (frames 1..5, 7) for per-frame q, qd, qdd."""
-    pack = model._packs[i]
+    pack = _pack(model, i)
     return _kernels.tree_newton_euler(pack.frames, pack.inertia, q, qd, qdd, model.gravity)
 
 
@@ -49,13 +50,6 @@ def tree_newton_euler(model, i, q, qd, qdd):
     """Efforts at the six tree joints of chain i (frames 1..5, 7) for six-vectors of
     tree positions, rates and accelerations, under the model's gravity."""
     return np.array(_sweep(model, i, tree_slots(q), tree_slots(qd), tree_slots(qdd)))
-
-
-def _finite_closure(expand, name, v):
-    """expand(v) for closure_positions or closure_rates; NumericalError names a non-finite v."""
-    slots = expand(v)
-    require_finite(name, list(slots[:3]))
-    return slots
 
 
 def chain_torques_H(model, i, q, qd, qdd):
@@ -73,7 +67,7 @@ def chain_torques_H(model, i, q, qd, qdd):
 
 def _leg_sweep(model, i, q, qd, units):
     """_kernels.tree_direct_efforts of chain i at free-coordinate state (q, qd)."""
-    pack = model._packs[i]
+    pack = _pack(model, i)
     q9, qd9 = _finite_closure(closure_positions, "q", q), _finite_closure(closure_rates, "qd", qd)
     return _kernels.tree_direct_efforts(pack.frames, pack.inertia, q9, qd9, model.gravity, units)
 
@@ -134,24 +128,26 @@ def _rows(n, *entries):
     return out
 
 
-def _torques_many(model, i, q, qd, qdd):
-    """chain_torques_H of chain i over a batch, q, qd and qdd three (N,) arrays each: an (N, 3) stack."""
-    gam = _sweep(model, i, _closure_positions(*q), _closure_rates(*qd), _closure_rates(*qdd))
+def _torques_many(model, tables, q, qd, qdd):
+    """chain_torques_H over lanes in one kernel call, tables the lanes' kernel tables
+    (model._lane_tables) and q, qd and qdd three (N,) arrays (or floats) each: an (N, 3) stack."""
+    gam = _kernels.tree_newton_euler(
+        *tables, _closure_positions(*q), _closure_rates(*qd), _closure_rates(*qdd), model.gravity
+    )
     return _rows(len(q[0]), *_free_efforts(gam))
 
 
-def _leg_dynamics_many(model, i, q, qd):
-    """_leg_dynamics of chain i over a batch, q and qd three (N,) arrays each: the (N, 3, 3)
-    inertia and (N, 3) bias stacks, under the scalar symmetry guard state by state."""
-    pack = model._packs[i]
+def _leg_dynamics_many(model, tables, q, qd):
+    """_leg_dynamics over _torques_many's lanes: the (N, 3, 3) inertia and (N, 3) bias stacks,
+    under the scalar symmetry guard lane by lane."""
     bias, columns = _kernels.tree_direct_efforts(
-        pack.frames, pack.inertia, _closure_positions(*q), _closure_rates(*qd), model.gravity, _UNIT_ACCELERATIONS
+        *tables, _closure_positions(*q), _closure_rates(*qd), model.gravity, _UNIT_ACCELERATIONS
     )
     (a00, a10, a20), (a01, a11, a21), (a02, a12, a22) = map(_free_efforts, columns)
     defect = np.abs([a01 - a10, a02 - a20, a12 - a21]).max(axis=0)
     scale = np.maximum(1.0, np.abs([a00, a01, a02, a10, a11, a12, a20, a21, a22]).max(axis=0))
     if (defect > _SYMMETRY_TOL * scale).any():
-        raise NumericalError("chain %d inertia symmetry defect exceeds %g" % (i + 1, _SYMMETRY_TOL))
+        raise NumericalError("a lane's inertia symmetry defect exceeds %g" % _SYMMETRY_TOL)
     s01 = 0.5 * (a01 + a10)
     s02 = 0.5 * (a02 + a20)
     s12 = 0.5 * (a12 + a21)
@@ -162,7 +158,7 @@ def _leg_dynamics_many(model, i, q, qd):
 
 def chain_kinetic_energy(model, i, q, qd) -> float:
     """Kinetic energy of chain i at free-coordinate state (q, qd)."""
-    pack = model._packs[i]
+    pack = _pack(model, i)
     return _kernels.chain_kinetic(
         pack.frames, pack.inertia, _finite_closure(closure_positions, "q", q), _finite_closure(closure_rates, "qd", qd)
     )

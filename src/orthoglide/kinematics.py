@@ -1,9 +1,10 @@
 """Closed-form kinematics: inverse geometry, chain Jacobians, their rates.
 
-Chain indices are 0-based throughout the package (0, 1, 2); error messages
-report them 1-based to match the config section names. Per-chain joint
-coordinates are (q1, q2, q3): actuator travel, shoulder angle, elbow angle.
-q2 lives in [-pi, 0] on the working branch and q3 in [-pi/2, pi/2].
+Chain indices are 0-based throughout the package (0, 1, 2), and any other
+index is a ValidationError; error messages report them 1-based to match
+the config section names. Per-chain joint coordinates are (q1, q2, q3):
+actuator travel, shoulder angle, elbow angle. q2 lives in [-pi, 0] on the
+working branch and q3 in [-pi/2, pi/2].
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import math
 import numpy as np
 
 from . import _kernels
-from .errors import ChainSingular, OutOfWorkspace, require_finite
-from .model import closure_positions
+from .errors import ChainSingular, OutOfWorkspace, ValidationError, require_finite
+from .model import _finite_closure, _pack, closure_positions
 
 _HALF_PI = math.pi / 2.0
 _ASIN_EDGE = 1.0 - 1e-12
@@ -27,9 +28,13 @@ def igm(model, p):
 
     Returns (L, chain_q) where L is the (3,) vector of prismatic travels and
     chain_q is (3, 3) with row i holding (q1, q2, q3) of chain i. Raises
-    OutOfWorkspace when any chain cannot reach p.
+    OutOfWorkspace when any chain cannot reach p, ValidationError when p is
+    not 3 numbers.
     """
-    px, py, pz = np.asarray(p, dtype=float).reshape(3).tolist()
+    try:
+        px, py, pz = np.asarray(p, dtype=float).reshape(3).tolist()
+    except (TypeError, ValueError):
+        raise ValidationError("p must be 3 numbers, got %r" % (p,)) from None
     L = np.empty(3)
     chain_q = np.empty((3, 3))
     for i in range(3):
@@ -64,8 +69,9 @@ def chain_frames(model, i, q):
 
     q is (q1, q2, q3); the slaved angles follow the closure. Returns
     (R, O) with shapes (9, 3, 3) and (9, 3); row k belongs to frame k+1.
+    A non-finite q is a NumericalError.
     """
-    R, O = _kernels.chain_frames(model._packs[i].frames, closure_positions(q))
+    R, O = _kernels.chain_frames(_pack(model, i).frames, _finite_closure(closure_positions, "q", q))
     return np.reshape(R, (9, 3, 3)), np.array(O)
 
 
@@ -113,14 +119,14 @@ def _local_jacobian(d4, c2, s2, c3, s3):
 
 def chain_jacobian(model, i, q):
     """3x3 map (q1dot, q2dot, q3dot) -> platform velocity, world frame; NumericalError on a non-finite q2 or q3."""
+    pack = _pack(model, i)
     q2, q3 = _finite_angles("q", q)
-    pack = model._packs[i]
     return pack.R_base @ _local_jacobian(pack.d4, math.cos(q2), math.sin(q2), math.cos(q3), math.sin(q3))
 
 
 def chain_jacobian_dot(model, i, q, qd):
     """Time derivative of chain_jacobian at (q, qd); NumericalError on a non-finite q2, q3, qd2 or qd3."""
-    pack = model._packs[i]
+    pack = _pack(model, i)
     q2, q3, qd2, qd3 = float(q[1]), float(q[2]), float(qd[1]), float(qd[2])
     if not math.isfinite(q2 + q3 + qd2 + qd3):  # one test for all four, then which one
         _finite_angles("q", q)
@@ -139,13 +145,13 @@ def chain_jacobian_inverse(model, i, q):
     zero means the chain is at a fold and the inverse is refused. A
     non-finite q2 or q3 is a NumericalError; q1 does not enter.
     """
+    pack = _pack(model, i)
     q2, q3 = _finite_angles("q", q)
     c2, s2, c3, s3 = math.cos(q2), math.sin(q2), math.cos(q3), math.sin(q3)
     if abs(c3) <= _FOLD_LIMIT:
         raise ChainSingular(i + 1, "cos(q3) = %.3g" % c3)
     if abs(s2) <= _FOLD_LIMIT:
         raise ChainSingular(i + 1, "sin(q2) = %.3g" % s2)
-    pack = model._packs[i]
     J = pack.R_base @ _local_jacobian(pack.d4, c2, s2, c3, s3)
     try:
         return np.linalg.inv(J)
@@ -170,10 +176,13 @@ def ik_velocity(model, chain_q, v_p):
     """Actuator and chain joint rates for a platform velocity.
 
     Returns (Ldot, chain_qd): the (3,) actuator rate vector and the (3, 3)
-    array of per-chain joint rates.
+    array of per-chain joint rates; ValidationError if chain_q is not 3 x 3 numbers or v_p not 3.
     """
-    chain_q = np.asarray(chain_q, dtype=float).reshape(3, 3)
-    v_p = np.asarray(v_p, dtype=float).reshape(3)
+    try:
+        chain_q = np.asarray(chain_q, dtype=float).reshape(3, 3)
+        v_p = np.asarray(v_p, dtype=float).reshape(3)
+    except (TypeError, ValueError):
+        raise ValidationError("chain_q must be 3 x 3 numbers and v_p 3, got %r and %r" % (chain_q, v_p)) from None
     require_finite("chain_q", chain_q.ravel().tolist())
     require_finite("v_p", v_p.tolist())
     Ldot = np.empty(3)

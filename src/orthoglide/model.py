@@ -50,7 +50,7 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import FIXED, PRISMATIC, REVOLUTE
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, require_finite
 
 _HALF_PI = math.pi / 2.0
 
@@ -79,6 +79,13 @@ def closure_rates(qd):
 
 def _closure_rates(qd1, qd2, qd3):
     return (qd1, qd2, qd3, -qd3, -qd2, 0.0, qd3, -qd3, 0.0)
+
+
+def _finite_closure(expand, name, v):
+    """expand(v) for closure_positions or closure_rates; NumericalError names a non-finite v."""
+    slots = expand(v)
+    require_finite(name, list(slots[:3]))
+    return slots
 
 
 def tree_slots(v6):
@@ -179,6 +186,29 @@ class _ChainPack:
         self.axis = self.R_base[:, 2].copy()
         self.d4 = chain.d4
         self.d6 = chain.d6
+
+
+def _pack(model, i):
+    """The kernel tables of chain i; ValidationError for an index other than 0, 1 or 2."""
+    if i in (0, 1, 2):  # a negative index would pick a chain from the end
+        return model._packs[int(i)]
+    raise ValidationError("chain index must be 0, 1 or 2, got %r" % (i,))
+
+
+def _lane_tables(model, chains):
+    """The kernel tables (frames, inertia) of lanes that each run chain chains[k], as object arrays:
+    an entry every chain's pack holds with the same bits is that number, one that differs an (N,)
+    array over the lanes. One kernel call then computes each lane bit for bit as its chain's pack."""
+    tables = []
+    for per_chain in zip(*((pack.frames, pack.inertia) for pack in model._packs)):
+        table = np.array(per_chain[0], dtype=object)
+        flat = np.array(per_chain, dtype=float).reshape(3, -1)
+        bits = flat.view(np.int64)
+        varies = np.flatnonzero((bits != bits[0]).any(axis=0))
+        for k, lane in zip(varies.tolist(), np.take(flat[:, varies].T, chains, axis=1)):
+            table.reshape(-1)[k] = lane
+        tables.append(table)
+    return tables
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,7 +365,10 @@ def load_model(source) -> RobotModel:
 
 def _gravity_field(gravity) -> np.ndarray:
     """gravity as a read-only 3-vector; ValidationError if it is not finite."""
-    g = np.array(gravity, dtype=float).reshape(3)
+    try:
+        g = np.array(gravity, dtype=float).reshape(3)
+    except (TypeError, ValueError):
+        raise ValidationError("gravity must be 3 numbers, got %r" % (gravity,)) from None
     if not np.all(np.isfinite(g)):
         raise ValidationError("gravity must be finite")
     g.flags.writeable = False

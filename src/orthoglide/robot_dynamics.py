@@ -5,8 +5,11 @@ chain Jacobian inverses, summed with the platform's own inertia, and the
 actuator efforts enter through the transpose of the actuation map. Inverse
 dynamics ends with one 3x3 linear solve; direct dynamics with another.
 
-_inverse_dynamics_many and _direct_dynamics_many run either over N states at
-once, each row bit for bit the scalar function's.
+_batched runs _inverse_batch or _direct_batch over N states at once
+(_inverse_dynamics_many is the first), each row bit for bit the scalar
+function's. The batch bodies stack the three legs into 3N lanes (_legs), so
+each makes one kernel call for all legs and states, and refuse a non-finite
+result as the scalar functions do.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .kinematics import (
     _FOLD_LIMIT, _jacobian_dot_terms, _jacobian_terms, chain_jacobian_dot, chain_jacobian_inverse, igm,
     robot_jacobian_inverse,
 )
+from .model import _lane_tables
 
 _EYE3 = np.eye(3)
 _EYE3.flags.writeable = False
@@ -145,21 +149,14 @@ def _inverse_dynamics_many(model, P, V, A):
     return _batched(_inverse_batch, inverse_dynamics, model, P, V, A)
 
 
-def _direct_dynamics_many(model, P, V, Gamma):
-    """direct_dynamics over the rows of (N, 3) arrays; an (N, 3) array."""
-    return _batched(_direct_batch, direct_dynamics, model, P, V, Gamma)
-
-
-def _batched(batch, scalar, model, *states):
-    """batch over the states or, if one of its guards trips, scalar over them
-    in order: the scalar loop's rows or its first error either way."""
-    states = [np.ascontiguousarray(x, dtype=float).reshape(-1, 3) for x in states]
+def _batched(batch, scalar, model, P, V, X):
+    """batch at the legs of the states (P, V) or, if one of its guards trips, scalar over
+    the states in order: the scalar loop's rows or its first error either way."""
+    states = [np.ascontiguousarray(x, dtype=float).reshape(-1, 3) for x in (P, V, X)]
     if len(states[0]) and np.isfinite(states).all():
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the scalar rerun's to refuse
-                out = batch(model, *states)
-            if np.isfinite(out).all():
-                return out
+                return batch(model, _legs(model, *states[:2]), states[2])
         except (OrthoglideError, np.linalg.LinAlgError):
             pass
     return np.array([scalar(model, *state) for state in zip(*states)]).reshape(-1, 3)
@@ -190,42 +187,60 @@ def _geometry_many(model, P):
     return Q, np.linalg.inv(stacks)
 
 
+def _leg_lanes(model, Q):
+    """Chain angles Q (3 chains, 3 coordinates, N) as 3N lanes, leg by leg (lane k N + s is chain k
+    at point s): the lanes' kernel tables (model._lane_tables) and coordinates (3, 3N)."""
+    return _lane_tables(model, np.repeat(np.arange(3), Q.shape[2])), Q.transpose(1, 0, 2).reshape(3, -1)
+
+
 def _legs(model, P, V):
-    """Per chain at the states (P, V): the angles (3, N), rates (N, 3), Jacobian
-    inverses and Jacobian rates; raises where a scalar guard would trip."""
+    """The legs at the states (P, V) as _leg_lanes' 3N lanes: their kernel tables, angles (3, 3N),
+    rates (3N, 3), Jacobian inverses and Jacobian rates (3N, 3, 3); raises where a scalar guard would."""
     Q, jinvs = _geometry_many(model, P)
-    legs = []
-    for pack, q, Jinv in zip(model._packs, Q, jinvs):
-        qd = _mv(Jinv, V)
-        c2, s2, c3, s3 = np.cos(q[1]), np.sin(q[1]), np.cos(q[2]), np.sin(q[2])
-        Jd = pack.R_base @ _base_stack(_jacobian_dot_terms(pack.d4, c2, s2, c3, s3, qd[:, 1], qd[:, 2]), 0.0)
-        legs.append((q, qd, Jinv, Jd))
-    return legs
+    Jinv = jinvs.reshape(-1, 3, 3)
+    qd = _mv(Jinv, np.tile(V, (3, 1)))
+    Jd = [pack.R_base @ _base_stack(_jacobian_dot_terms(
+              pack.d4, np.cos(q[1]), np.sin(q[1]), np.cos(q[2]), np.sin(q[2]), qd_i[:, 1], qd_i[:, 2]), 0.0)
+          for pack, q, qd_i in zip(model._packs, Q, qd.reshape(3, -1, 3))]
+    return (*_leg_lanes(model, Q), qd, Jinv, np.concatenate(Jd))
 
 
-def _inverse_batch(model, P, V, A):
+def _leg_torques(model, legs, A):
+    """chain_torques_H of every lane of legs at the platform accelerations A (N, 3): (3N, 3)."""
+    tables, q, qd, Jinv, Jd = legs
+    qdd = _mv(Jinv, np.tile(A, (3, 1)) - _mv(Jd, qd))
+    return _torques_many(model, tables, q, qd.T, qdd.T)
+
+
+def _inverse_batch(model, legs, A):
+    Jinv = legs[3]
     H_robot = model.platform_mass * (A - model.gravity)
-    Jp_inv = np.empty((len(P), 3, 3))
-    for i, (q, qd, Jinv, Jd) in enumerate(_legs(model, P, V)):
-        qdd = _mv(Jinv, A - _mv(Jd, qd))
-        H_robot = H_robot + _mv(Jinv.transpose(0, 2, 1), _torques_many(model, i, q, qd.T, qdd.T))
-        Jp_inv[:, i] = Jinv[:, 0]
-    return np.linalg.solve(Jp_inv.transpose(0, 2, 1), H_robot[:, :, None])[:, :, 0]
+    for F in _mv(Jinv.transpose(0, 2, 1), _leg_torques(model, legs, A)).reshape(3, -1, 3):
+        H_robot = H_robot + F
+    Jp_inv = np.ascontiguousarray(Jinv[:, 0].reshape(3, -1, 3).transpose(1, 0, 2))
+    gam = np.linalg.solve(Jp_inv.transpose(0, 2, 1), H_robot[:, :, None])[:, :, 0]
+    if not np.isfinite(gam).all():
+        raise NumericalError("non-finite actuator efforts")
+    return gam
 
 
-def _direct_batch(model, P, V, Gamma):
+def _direct_batch(model, legs, Gamma):
+    tables, q, qd, Jinv, Jd = legs
+    A, h = _leg_dynamics_many(model, tables, q, qd.T)
+    JinvT = Jinv.transpose(0, 2, 1)
+    A_x = JinvT @ A @ Jinv
+    n = len(Gamma)
     A_robot = model.platform_mass * _EYE3
     h_robot = -model.platform_mass * model.gravity
-    Jp_inv = np.empty((len(P), 3, 3))
-    for i, (q, qd, Jinv, Jd) in enumerate(_legs(model, P, V)):
-        A, h = _leg_dynamics_many(model, i, q, qd.T)
-        JinvT = Jinv.transpose(0, 2, 1)
-        A_x = JinvT @ A @ Jinv
-        A_robot = A_robot + A_x
-        h_robot = h_robot + _mv(JinvT, h) - _mv(A_x, _mv(Jd, qd))
-        Jp_inv[:, i] = Jinv[:, 0]
+    for A_i, h_i, jdq_i in zip(A_x.reshape(3, n, 3, 3), _mv(JinvT, h).reshape(3, n, 3),
+                               _mv(A_x, _mv(Jd, qd)).reshape(3, n, 3)):
+        A_robot = A_robot + A_i
+        h_robot = h_robot + h_i - jdq_i
     m11, a01, a10, a11 = A_robot[:, 0, 0], A_robot[:, 0, 1], A_robot[:, 1, 0], A_robot[:, 1, 1]
     if not ((m11 > 0.0) & (m11 * a11 - a01 * a10 > 0.0) & (np.linalg.det(A_robot) > 0.0)).all():
         raise NumericalError("robot inertia matrix is not positive definite")
-    f_act = _mv(Jp_inv.transpose(0, 2, 1), Gamma)
-    return np.linalg.solve(A_robot, (f_act - h_robot)[:, :, None])[:, :, 0]
+    Jp_inv = np.ascontiguousarray(Jinv[:, 0].reshape(3, n, 3).transpose(1, 0, 2))
+    acc = np.linalg.solve(A_robot, (_mv(Jp_inv.transpose(0, 2, 1), Gamma) - h_robot)[:, :, None])[:, :, 0]
+    if not np.isfinite(acc).all():
+        raise NumericalError("non-finite platform acceleration")
+    return acc

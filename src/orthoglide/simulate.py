@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ChainSingular, NumericalError, OutOfWorkspace, ParseError, ValidationError
 from .kinematics import igm
-from .robot_dynamics import _direct_dynamics, direct_dynamics, inverse_dynamics
+from .robot_dynamics import _direct_dynamics, _finite_vectors, direct_dynamics, inverse_dynamics
 
 CSV_HEADER = "t,Px,Py,Pz,Vx,Vy,Vz,Ax,Ay,Az,L1,L2,L3,G1,G2,G3"
 
@@ -135,10 +135,10 @@ def quintic_path(p_start, p_end, duration, model=None):
 
     Returns path(t) -> (P, V, A). Outside [0, duration] the path clamps to
     the endpoints at rest. When a model is given, both endpoints are
-    checked against the workspace up front.
+    checked against the workspace up front. Endpoints not 3 finite numbers
+    and a NaN t are refused (ValidationError or NumericalError).
     """
-    p0 = np.asarray(p_start, dtype=float).reshape(3).copy()
-    p1 = np.asarray(p_end, dtype=float).reshape(3).copy()
+    p0, p1 = (p.copy() for p in _finite_vectors(p_start=p_start, p_end=p_end))
     T = float(duration)
     if not T > 0.0:
         raise ValidationError("path duration must be positive")
@@ -150,14 +150,16 @@ def quintic_path(p_start, p_end, duration, model=None):
 
     def path(t):
         tau = t / T
+        if 0.0 < tau < 1.0:
+            s = tau * tau * tau * (10.0 + tau * (-15.0 + 6.0 * tau))
+            sd = tau * tau * (30.0 + tau * (-60.0 + 30.0 * tau)) / T
+            sdd = tau * (60.0 + tau * (-180.0 + 120.0 * tau)) / (T * T)
+            return p0 + s * dp, sd * dp, sdd * dp
         if tau <= 0.0:
             return p0.copy(), zero.copy(), zero.copy()
         if tau >= 1.0:
             return p1.copy(), zero.copy(), zero.copy()
-        s = tau * tau * tau * (10.0 + tau * (-15.0 + 6.0 * tau))
-        sd = tau * tau * (30.0 + tau * (-60.0 + 30.0 * tau)) / T
-        sdd = tau * (60.0 + tau * (-180.0 + 120.0 * tau)) / (T * T)
-        return p0 + s * dp, sd * dp, sdd * dp
+        raise NumericalError("non-finite t %r" % (t,))
 
     return path
 
@@ -190,17 +192,23 @@ def feedforward_torque(model, path):
     return fn
 
 
-def _zero_torque(t):
-    return np.zeros(3)
+def _effort(torque_fn, t):
+    """torque_fn(t) as actuator efforts, zero without a torque_fn; ValidationError if not 3 numbers."""
+    out = np.zeros(3) if torque_fn is None else torque_fn(t)
+    try:
+        return np.asarray(out, dtype=float).reshape(3)
+    except (TypeError, ValueError):
+        raise ValidationError("torque_fn(%r) must return 3 numbers, got %r" % (t, out)) from None
 
 
 def simulate(model, p0, v0, torque_fn=None, config: SimConfig | None = None) -> SimResult:
     """Integrate the platform dynamics from (p0, v0) under torque_fn.
 
     The initial state must be inside the workspace (OutOfWorkspace
-    propagates). If a later step leaves the workspace, reaches a fold or
-    trips a numerical guard, the run stops and the result carries
-    completed=False with the recorded prefix.
+    propagates), and torque_fn must return 3 numbers (ValidationError). If
+    a later step leaves the workspace, reaches a fold or trips a numerical
+    guard, the run stops and the result carries completed=False with the
+    recorded prefix.
     """
     cfg = config if config is not None else SimConfig()
     if cfg.integrator not in ("rk4", "euler"):
@@ -218,7 +226,6 @@ def simulate(model, p0, v0, torque_fn=None, config: SimConfig | None = None) -> 
     # t_end / dt is a whole number up to its round-off
     if abs(cfg.t_end / dt - n_steps) > 1e-9 * max(1, n_steps):
         raise ValidationError("t_end %r is not a whole number of dt %r steps" % (cfg.t_end, dt))
-    fn = torque_fn if torque_fn is not None else _zero_torque
 
     P = np.asarray(p0, dtype=float).reshape(3).copy()
     V = np.asarray(v0, dtype=float).reshape(3).copy()
@@ -245,7 +252,7 @@ def simulate(model, p0, v0, torque_fn=None, config: SimConfig | None = None) -> 
         return SimResult(Trajectory(times[:count], *columns[:, :count]), completed, stop_reason, cfg)
 
     # first sample: workspace errors here are the caller's problem
-    gamma = np.asarray(fn(0.0), dtype=float).reshape(3)
+    gamma = _effort(torque_fn, 0.0)
     acc, L, Ldot = _direct_dynamics(model, P, V, gamma)
     record(0.0, P, V, acc, L, Ldot, gamma)
 
@@ -258,20 +265,20 @@ def simulate(model, p0, v0, torque_fn=None, config: SimConfig | None = None) -> 
                 V_next = V + dt * acc
             else:
                 k1p, k1v = V, acc
-                g2 = np.asarray(fn(t + 0.5 * dt), dtype=float).reshape(3)
+                g2 = _effort(torque_fn, t + 0.5 * dt)
                 k2v = direct_dynamics(model, P + 0.5 * dt * k1p, V + 0.5 * dt * k1v, g2)
                 k2p = V + 0.5 * dt * k1v
                 k3v = direct_dynamics(model, P + 0.5 * dt * k2p, V + 0.5 * dt * k2v, g2)
                 k3p = V + 0.5 * dt * k2v
                 t4 = t + dt
-                g4 = np.asarray(fn(t4), dtype=float).reshape(3)
+                g4 = _effort(torque_fn, t4)
                 k4v = direct_dynamics(model, P + dt * k3p, V + dt * k3v, g4)
                 k4p = V + dt * k3v
                 P_next = P + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
                 V_next = V + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
             t_next = (k + 1) * dt
             # k dt + dt is often the very float (k + 1) dt; the k4 torque is then the sample's
-            gamma = g4 if t4 == t_next else np.asarray(fn(t_next), dtype=float).reshape(3)
+            gamma = g4 if t4 == t_next else _effort(torque_fn, t_next)
             acc, L, Ldot = _direct_dynamics(model, P_next, V_next, gamma)
         except (OutOfWorkspace, ChainSingular, NumericalError) as exc:
             return result(False, "%s: %s" % (type(exc).__name__, exc))

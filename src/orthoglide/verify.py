@@ -18,7 +18,9 @@ the driver folds their errors with _worse, so a NaN fails the check, and
 reports n. A draw the error function makes itself (rates, accelerations)
 follows its sample's in the check's stream. A check that reports another
 count, runs in phases or runs a batch or a simulation is written whole, as
-check(model, rng, n) -> (err, used).
+check(model, rng, n) -> (err, used). The batched ones draw all their
+samples first, in the per-sample stream order, and run every leg of every
+sample in one kernel call (robot_dynamics._legs, model._lane_tables).
 """
 
 from __future__ import annotations
@@ -28,15 +30,17 @@ import numbers
 import time
 import zlib
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from . import _kernels
 from .chain_dynamics import (
+    _rows,
+    _torques_many,
     chain_bias_h,
     chain_inertia_A,
     chain_kinetic_energy,
-    chain_reaction_force,
     chain_torques_H,
     tree_newton_euler,
 )
@@ -53,17 +57,19 @@ from .kinematics import (
     parallelogram_gap,
     robot_jacobian_inverse,
 )
-from .model import (TREE_ROWS, _axes_meeting_point, _closure_positions, _closure_rates, closure_positions,
-                    model_with_gravity, tree_slots)
+from .model import (TREE_ROWS, _axes_meeting_point, _closure_positions, _closure_rates, _lane_tables, _pack,
+                    closure_positions, model_with_gravity, tree_slots)
 from .robot_dynamics import (
-    _direct_dynamics_many,
+    _direct_batch,
     _finite_vectors,
     _geometry_many,
+    _inverse_batch,
     _inverse_dynamics_many,
+    _leg_lanes,
+    _leg_torques,
+    _legs,
     _mv,
     assemble_robot_dyn,
-    inverse_dynamics,
-    platform_force,
 )
 from .simulate import SimConfig, feedforward_torque, quintic_path, simulate
 
@@ -76,18 +82,18 @@ DEFAULT_SEED = 42
 
 def _tree_frames(model, i, q6):
     """World rotations (7, 3, 3) and origins (7, 3) of chain i's tree bodies."""
-    R, O = _kernels.chain_frames(model._packs[i].frames, tree_slots(q6))
+    R, O = _kernels.chain_frames(_pack(model, i).frames, tree_slots(q6))
     return np.reshape(R, (7, 3, 3)), np.array(O)
 
 
-def _slots_potential(model, i, slots) -> float:
-    """Gravity potential of chain i's 7-body tree at per-frame joint values slots."""
-    pack = model._packs[i]
-    R, O = _kernels.chain_frames(pack.frames, slots)
+def _slots_potential(model, frames, inertia, slots) -> float:
+    """Gravity potential of the 7-body tree with kernel tables frames and inertia (a chain pack's or
+    _lane_tables') at per-frame joint values slots."""
+    R, O = _kernels.chain_frames(frames, slots)
     gx, gy, gz = model.gravity.tolist()
     U = 0.0
     for (M, mx, my, mz), (r00, r01, r02, r10, r11, r12, r20, r21, r22), (ox, oy, oz) in zip(
-        pack.inertia[:, :4].tolist(), R, O
+        inertia[:, :4].tolist(), R, O
     ):
         U -= (
             gx * (M * ox + (r00 * mx + r01 * my + r02 * mz))
@@ -99,8 +105,9 @@ def _slots_potential(model, i, slots) -> float:
 
 def chain_potential_energy(model, i, q) -> float:
     """Gravity potential of chain i at free coordinates q = (q1, q2, q3)."""
+    pack = _pack(model, i)
     (q,) = _finite_vectors(q=q)
-    return _slots_potential(model, i, closure_positions(q)[:7])
+    return _slots_potential(model, pack.frames, pack.inertia, closure_positions(q)[:7])
 
 
 def potential_energy(model, p) -> float:
@@ -108,8 +115,8 @@ def potential_energy(model, p) -> float:
     (p,) = _finite_vectors(p=p)
     _, chain_q = igm(model, p)
     U = -model.platform_mass * float(model.gravity @ p)
-    for i, q in enumerate(chain_q):
-        U += _slots_potential(model, i, closure_positions(q)[:7])
+    for pack, q in zip(model._packs, chain_q):
+        U += _slots_potential(model, pack.frames, pack.inertia, closure_positions(q)[:7])
     return U
 
 
@@ -129,23 +136,26 @@ def total_energy(model, p, v) -> float:
 
 
 # The batched energies, N states a call, each row the scalar function's bit for bit; Q and jinvs
-# are _geometry_many of the points. The chain terms run as one kernel call per leg on (N,) lanes,
+# are _geometry_many of the points. The chain terms run as one kernel call on the legs' 3N lanes,
 # the platform terms as per-row products, which a stacked product could round differently.
 
 
 def _potential_at(model, P, Q):
     """potential_energy at the points P (N, 3): an (N,) array."""
     U = -model.platform_mass * np.array([float(model.gravity @ p) for p in P])
-    for i, q in enumerate(Q):
-        U += _slots_potential(model, i, _closure_positions(*q)[:7])
+    tables, q = _leg_lanes(model, Q)
+    for U_leg in _slots_potential(model, *tables, _closure_positions(*q)[:7]).reshape(3, -1):
+        U += U_leg
     return U
 
 
 def _kinetic_at(model, Q, jinvs, V):
     """kinetic_energy at the platform velocities V (N, 3): an (N,) array."""
     T = 0.5 * model.platform_mass * np.array([float(v @ v) for v in V])
-    for pack, q, Jinv in zip(model._packs, Q, jinvs):
-        T += _kernels.chain_kinetic(pack.frames, pack.inertia, _closure_positions(*q), _closure_rates(*_mv(Jinv, V).T))
+    tables, q = _leg_lanes(model, Q)
+    qd = _mv(jinvs.reshape(-1, 3, 3), np.tile(V, (3, 1)))
+    for T_leg in _kernels.chain_kinetic(*tables, _closure_positions(*q), _closure_rates(*qd.T)).reshape(3, -1):
+        T += T_leg
     return T
 
 
@@ -224,7 +234,7 @@ def composite_tree_inertia(model, i, q_tree) -> np.ndarray:
     Works entirely in world coordinates about the world origin, so it shares
     nothing with the recursive sweep it is checked against.
     """
-    frames = model._packs[i].frames
+    frames = _pack(model, i).frames
     R, O = _tree_frames(model, i, q_tree)
     Ms = np.zeros(7)
     hs = np.zeros((7, 3))
@@ -377,8 +387,9 @@ class OracleReport:
         }
 
 
-def _rel(delta, ref) -> float:
-    return float(np.abs(delta).max() / (1.0 + np.abs(ref).max()))
+def _rel(delta, ref, axis=None):
+    """The largest |delta| over 1 + the largest |ref|, or of each row of (N, 3) arrays with axis=1."""
+    return np.abs(delta).max(axis) / (1.0 + np.abs(ref).max(axis))
 
 
 def _worse(worst, err):
@@ -391,17 +402,17 @@ def _per_sample(draw, error):
     error(model, rng, *sample) over the n samples of draw(model, rng, n)."""
 
     def check(model, rng, n):
-        worst = 0.0
-        for sample in draw(model, rng, n):
-            worst = _worse(worst, error(model, rng, *sample))
-        return worst, n
+        return reduce(_worse, (error(model, rng, *sample) for sample in draw(model, rng, n)), 0.0), n
 
     return check
 
 
-def _igm_round_trip(model, rng, p):
-    _, chain_q = igm(model, p)
-    return float(np.abs([chain_forward_point(model, i, chain_q[i]) - p for i in range(3)]).max())
+def _check_igm_round_trip(model, rng, n):
+    # every leg's forward point, from one stacked frame placement of the first six frames
+    P = np.array(sample_platform_points(model, rng, n))
+    (frames, _), q = _leg_lanes(model, np.array([igm(model, p)[1] for p in P]).transpose(1, 2, 0))
+    _, O = _kernels.chain_frames(frames, _closure_positions(*q)[:6])
+    return reduce(_worse, np.abs(np.array(O[5]).T - np.tile(P, (3, 1))).reshape(3, n, 3).max(axis=(0, 2)), 0.0), n
 
 
 def _jacobian_fd(model, rng, i, q):
@@ -465,23 +476,31 @@ def _wrist_axis(model, rng, i, q):
     return float(np.abs(R[4][:, 0] - model._packs[i].axis).max())
 
 
-def _tree_inertia_crb(model, rng, i, q6):
-    m0 = model_with_gravity(model, (0.0, 0.0, 0.0))
-    M_crb = composite_tree_inertia(model, i, q6)
-    M_ne = np.array([tree_newton_euler(m0, i, q6, np.zeros(6), e) for e in np.eye(6)]).T
-    return _rel(M_ne - M_crb, M_crb)
+def _check_tree_inertia_crb(model, rng, n):
+    # the Newton-Euler columns, a unit acceleration of each tree joint at rest without gravity,
+    # run as one batch of lanes s * 6 + k: sample s, column k
+    samples = list(_trees(model, rng, n))
+    chains = np.repeat([i for i, _ in samples], 6)
+    q = np.repeat(np.array([tree_slots(q6) for _, q6 in samples]).T, 6, axis=1)
+    qdd = np.zeros((7, 6 * n))
+    qdd[list(TREE_ROWS)] = np.tile(np.eye(6), n)
+    gam = _kernels.tree_newton_euler(*_lane_tables(model, chains), q, [0.0] * 7, qdd, np.zeros(3))
+    M_ne = np.reshape(gam, (6, n, 6)).transpose(1, 0, 2)
+    M_crb = (composite_tree_inertia(model, i, q6) for i, q6 in samples)
+    return reduce(_worse, (_rel(M - M_c, M_c) for M, M_c in zip(M_ne, M_crb)), 0.0), n
 
 
 def _gravity_gradient(model, rng, i, q6):
     h = 1e-6
     zero6 = np.zeros(6)
     gam = tree_newton_euler(model, i, q6, zero6, zero6)
+    pack = model._packs[i]
     grad = np.empty(6)
     for k in range(6):
         e = np.zeros(6)
         e[k] = h
-        U_plus = _slots_potential(model, i, tree_slots(q6 + e))
-        U_minus = _slots_potential(model, i, tree_slots(q6 - e))
+        U_plus = _slots_potential(model, pack.frames, pack.inertia, tree_slots(q6 + e))
+        U_minus = _slots_potential(model, pack.frames, pack.inertia, tree_slots(q6 - e))
         grad[k] = (U_plus - U_minus) / (2.0 * h)
     return _rel(gam - grad, gam)
 
@@ -532,49 +551,48 @@ def _robot_kinetic_quadratic(model, rng, p, v, a):
 
 def _check_lagrangian(model, rng, n):
     P, V, A = map(np.array, zip(*_states(model, rng, n)))
-    worst = 0.0
-    for gam, gam_oracle in zip(_inverse_dynamics_many(model, P, V, A), _lagrangian_many(model, P, V, A)):
-        worst = _worse(worst, _rel(gam - gam_oracle, gam))
-    return worst, n
+    gam = _inverse_dynamics_many(model, P, V, A)
+    return reduce(_worse, _rel(gam - _lagrangian_many(model, P, V, A), gam, 1), 0.0), n
 
 
-def _reaction_balance(model, rng, p, v, a):
-    gam = inverse_dynamics(model, p, v, a)
-    _, cq = igm(model, p)
-    _, cqd = ik_velocity(model, cq, v)
-    total = np.zeros(3)
-    for i in range(3):
-        qdd = ik_acceleration(model, i, cq[i], cqd[i], a)
-        total += chain_reaction_force(model, i, cq[i], cqd[i], qdd, gam[i])
-    return float(np.abs(total - platform_force(model, a)).max())
+def _check_reaction_balance(model, rng, n):
+    # the chains' reaction forces under the inverse-dynamics efforts sum to the platform's net force
+    P, V, A = map(np.array, zip(*_states(model, rng, n)))
+    legs = _legs(model, P, V)
+    resid = _rows(3 * n, _inverse_batch(model, legs, A).T.ravel(), 0.0, 0.0) - _leg_torques(model, legs, A)
+    total = np.zeros((n, 3))
+    for F in _mv(legs[3].transpose(0, 2, 1), resid).reshape(3, n, 3):  # chain_reaction_force of each lane
+        total += F
+    return reduce(_worse, np.abs(total - model.platform_mass * (A - model.gravity)).max(axis=1), 0.0), n
 
 
-def _reaction_unit_column(model, rng, p):
+def _check_reaction_unit_column(model, rng, n):
+    # at rest without gravity a unit actuator effort loads the platform with the chain's row of
+    # the robot Jacobian inverse
     m0 = model_with_gravity(model, (0.0, 0.0, 0.0))
-    zero = np.zeros(3)
-    _, cq = igm(m0, p)
-    Jp_inv = robot_jacobian_inverse(m0, cq)
-    return float(np.abs([chain_reaction_force(m0, i, cq[i], zero, zero, 1.0) - Jp_inv[i] for i in range(3)]).max())
+    Q, jinvs = _geometry_many(m0, np.array(sample_platform_points(model, rng, n)))
+    tables, q = _leg_lanes(m0, Q)
+    Jinv = jinvs.reshape(-1, 3, 3)
+    F = _mv(Jinv.transpose(0, 2, 1), _rows(3 * n, 1.0, 0.0, 0.0) - _torques_many(m0, tables, q, (0.0,) * 3, (0.0,) * 3))
+    return reduce(_worse, np.abs(F - Jinv[:, 0]).reshape(3, n, 3).max(axis=(0, 2)), 0.0), n
 
 
 def _check_idm_ddm_round_trip(model, rng, n):
+    # both batches on one geometry of the states
     P, V, A = map(np.array, zip(*_states(model, rng, n)))
-    worst = 0.0
-    for a, a2 in zip(A, _direct_dynamics_many(model, P, V, _inverse_dynamics_many(model, P, V, A))):
-        worst = _worse(worst, _rel(a2 - a, a))
-    return worst, n
+    legs = _legs(model, P, V)
+    return reduce(_worse, _rel(_direct_batch(model, legs, _inverse_batch(model, legs, A)) - A, A, 1), 0.0), n
 
 
 def _check_static_gradient(model, rng, n):
     h = 1e-6
     P = np.array(sample_platform_points(model, rng, n))
-    gam = _inverse_dynamics_many(model, P, np.zeros((n, 3)), np.zeros((n, 3)))
+    # the static efforts and the gradient's actuator map on one geometry of the points
+    legs = _legs(model, P, np.zeros((n, 3)))
+    gam = _inverse_batch(model, legs, np.zeros((n, 3)))
     shifted = _plus_minus(P, h).reshape(-1, 3)
     grad = _central(_potential_at(model, shifted, _geometry_many(model, shifted)[0]).reshape(n, 6), h)
-    worst = 0.0
-    for g, expected in zip(gam, _actuator_efforts(_geometry_many(model, P)[1], grad)):
-        worst = _worse(worst, _rel(g - expected, g))
-    return worst, n
+    return reduce(_worse, _rel(gam - _actuator_efforts(legs[3].reshape(3, n, 3, 3), grad), gam, 1), 0.0), n
 
 
 def _completed_run(name, *args):
@@ -651,7 +669,7 @@ def _check_isotropic_inverse(model, rng, n):
 
 
 _CHECKS = (
-    ("igm_forward_round_trip", 1000, 1e-9, _per_sample(_points, _igm_round_trip)),
+    ("igm_forward_round_trip", 1000, 1e-9, _check_igm_round_trip),
     ("jacobian_fd", 200, 1e-6, _per_sample(_chains, _jacobian_fd)),
     ("jacobian_inverse_identity", 1000, 1e-10, _per_sample(_chains, _jacobian_inverse_identity)),
     ("robot_rows_match_chains", 100, 0.0, _per_sample(_points, _robot_rows)),
@@ -659,7 +677,7 @@ _CHECKS = (
     ("acceleration_consistency", 10, 1e-4, _check_acceleration_consistency),
     ("closure_gap", 100, 1e-12, _per_sample(_chains, _closure_gap)),
     ("wrist_axis_fixed", 100, 1e-12, _per_sample(_chains, _wrist_axis)),
-    ("tree_inertia_crb", 50, 1e-9, _per_sample(_trees, _tree_inertia_crb)),
+    ("tree_inertia_crb", 50, 1e-9, _check_tree_inertia_crb),
     ("gravity_vs_potential_gradient", 100, 1e-5, _per_sample(_trees, _gravity_gradient)),
     ("torque_decomposition", 100, 1e-9, _per_sample(_chains, _torque_decomposition)),
     ("inertia_symmetry", 100, 1e-10, _per_sample(_chains, _inertia_symmetry)),
@@ -667,8 +685,8 @@ _CHECKS = (
     ("chain_kinetic_quadratic", 100, 1e-9, _per_sample(_chains, _chain_kinetic_quadratic)),
     ("robot_kinetic_quadratic", 100, 1e-9, _per_sample(_states, _robot_kinetic_quadratic)),
     ("lagrangian_match", 200, 1e-4, _check_lagrangian),
-    ("reaction_balance", 100, 1e-9, _per_sample(_states, _reaction_balance)),
-    ("reaction_unit_column", 100, 1e-12, _per_sample(_points, _reaction_unit_column)),
+    ("reaction_balance", 100, 1e-9, _check_reaction_balance),
+    ("reaction_unit_column", 100, 1e-12, _check_reaction_unit_column),
     ("idm_ddm_round_trip", 1000, 1e-8, _check_idm_ddm_round_trip),
     ("static_vs_potential_gradient", 100, 1e-5, _check_static_gradient),
     ("power_balance", 1, 1e-4, _check_power_balance),
@@ -700,7 +718,8 @@ def run_verification(model, seed=DEFAULT_SEED, n_samples=100, tolerances=None, c
     ArithmeticError records an infinite error; a NaN error is reported as
     NaN. Either fails the check. Each report carries its wall time. A seed not an
     integer >= 0, an n_samples not an integer >= 1, a tolerance not a number >= 0
-    (inf is one) or a checks naming no check (or a string) raise ValidationError.
+    (inf is one), tolerances that are not a mapping or a checks naming no check (or a
+    string) raise ValidationError.
     """
     if not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise ValidationError("seed must be a non-negative integer, got %r" % (seed,))
@@ -708,6 +727,8 @@ def run_verification(model, seed=DEFAULT_SEED, n_samples=100, tolerances=None, c
         raise ValidationError("n_samples must be an integer >= 1, got %r" % (n_samples,))
     tols = dict(TOLERANCES)
     for src in (model.verify_overrides, tolerances or {}):
+        if not hasattr(src, "items"):
+            raise ValidationError("tolerances must map check names to numbers, got %r" % (tolerances,))
         for key, val in src.items():
             if key not in tols:
                 raise ValidationError("unknown verification check '%s'" % key)

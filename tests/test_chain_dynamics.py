@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -28,6 +29,8 @@ from orthoglide import _kernels, robot_dynamics
 from orthoglide.chain_dynamics import _UNIT_ACCELERATIONS, _free_efforts, _leg_dynamics, _reduce3, _sweep
 from orthoglide.model import TREE_ROWS, _closure_rates, closure_positions, closure_rates, tree_slots
 from orthoglide.verify import _sample_state, _slots_potential
+
+from conftest import DENSE, MIXED, dense_inertia_model
 
 HALF_PI = math.pi / 2
 # zero rates or accelerations in all nine frame slots
@@ -64,8 +67,9 @@ def test_static_tree_efforts_match_potential_gradient(model, rng):
         for k in range(6):
             e = np.zeros(6)
             e[k] = h
-            U_plus = _slots_potential(model, i, tree_slots(q6 + e))
-            U_minus = _slots_potential(model, i, tree_slots(q6 - e))
+            pack = model._packs[i]
+            U_plus = _slots_potential(model, pack.frames, pack.inertia, tree_slots(q6 + e))
+            U_minus = _slots_potential(model, pack.frames, pack.inertia, tree_slots(q6 - e))
             g_fd = (U_plus - U_minus) / (2 * h)
             assert abs(gam[k] - g_fd) < 1e-7 * (1 + abs(gam[k]))
 
@@ -269,20 +273,6 @@ def _kinetic_on_scratch_rows(frames, inertia, q, qd):
     return T
 
 
-def _dense_inertia_model(model, rng):
-    """model with every link's first moment and inertia tensor fully
-    populated, so that each term of the energy sums is non-zero."""
-    chains = []
-    for chain in model.chains:
-        links = []
-        for link in chain.links:
-            B = rng.normal(0.0, 0.05, (3, 3))
-            ms = rng.normal(0.0, 0.05, 3)
-            links.append(dataclasses.replace(link, first_moment=ms, inertia=B @ B.T + 1e-3 * np.eye(3)))
-        chains.append(dataclasses.replace(chain, links=tuple(links)))
-    return dataclasses.replace(model, chains=tuple(chains))
-
-
 def test_kinetic_kernel_is_bitwise_the_scratch_row_version(model, rng):
     states = _inertia_states(rng)
     rates = _rate_states(rng, len(states))
@@ -292,7 +282,7 @@ def test_kinetic_kernel_is_bitwise_the_scratch_row_version(model, rng):
     rates[-1] = np.zeros(3)
     assert len(states) >= 500
     zeros = 0
-    for m in (model, _dense_inertia_model(model, rng)):
+    for m in (model, dense_inertia_model(model, rng)):
         for q, qd in zip(states, rates):
             q9, qd9 = closure_positions(q), closure_rates(qd)
             for i in range(3):
@@ -345,9 +335,8 @@ _Q1 = st.floats(-0.2, 0.2) | st.sampled_from((0.0, -0.0))
 _Q2 = st.floats(-math.pi, 0.0) | _around(0.0, -HALF_PI, -math.pi)
 _Q3 = st.floats(-1.2, 1.2) | _around(0.0, HALF_PI, -HALF_PI)
 _RATE = st.floats(-3.0, 3.0) | st.sampled_from((0.0, -0.0, HALF_PI, -HALF_PI))
-_DENSE = _dense_inertia_model(default_model(), np.random.default_rng(20261018))
 _PROPERTY_MODELS = tuple(
-    model_with_gravity(m, g) if g else m for m in (default_model(), _DENSE) for g in (None, (0.0, 0.0, 0.0), (0.0, 0.0, -0.2))
+    model_with_gravity(m, g) if g else m for m in (default_model(), DENSE) for g in (None, (0.0, 0.0, 0.0), (0.0, 0.0, -0.2))
 )
 
 
@@ -415,11 +404,13 @@ _BATCH_STATE = st.tuples(
     st.tuples(*[_signed(3.0)] * 3),
     st.tuples(*[_signed(200.0)] * 3),
 )
-# and one whose platform mass is not 1.0, which a product with it would hide
-_BATCH_MODELS = _PROPERTY_MODELS + (dataclasses.replace(_DENSE, platform_mass=1.7),)
+# and one whose platform mass is not 1.0, which a product with it would hide, and one whose
+# legs' frame tables differ past the slider row
+_BATCH_MODELS = _PROPERTY_MODELS + (dataclasses.replace(DENSE, platform_mass=1.7), MIXED)
+_direct_dynamics_many = functools.partial(robot_dynamics._batched, robot_dynamics._direct_batch, direct_dynamics)
 _BATCHES = (
     (robot_dynamics._inverse_dynamics_many, robot_dynamics._inverse_batch, inverse_dynamics),
-    (robot_dynamics._direct_dynamics_many, robot_dynamics._direct_batch, direct_dynamics),
+    (_direct_dynamics_many, robot_dynamics._direct_batch, direct_dynamics),
 )
 
 
@@ -433,7 +424,7 @@ def _assert_batch_is_scalar_loop(m, P, V, X, many, batch, scalar):
             many(m, P, V, X)
         assert str(info.value) == str(err)
         return None
-    assert batch(m, P, V, X).tobytes() == rows.tobytes()
+    assert batch(m, robot_dynamics._legs(m, P, V), X).tobytes() == rows.tobytes()
     assert many(m, P, V, X).tobytes() == rows.tobytes()
     return rows
 

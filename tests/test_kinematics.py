@@ -1,14 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orthoglide
 from orthoglide import (
     ChainSingular,
     NumericalError,
     OutOfWorkspace,
+    ValidationError,
     chain_forward_point,
     chain_frames,
     chain_jacobian,
@@ -302,3 +305,59 @@ def test_non_finite_jacobian_inverse_and_acceleration_input_is_numerical_error(m
             with pytest.raises(NumericalError, match=r"non-finite %s \[" % name) as info:
                 ik_acceleration(model, 0, *args)
             assert repr(args[arg]) in str(info.value)
+
+
+_Q, _RATES = (0.0, -1.3, 0.3), (0.2, 0.1, -0.4)
+# every public function that takes a chain index, with arguments after (model, i)
+_CHAIN_CALLS = {
+    "chain_frames": (_Q,),
+    "chain_forward_point": (_Q,),
+    "parallelogram_gap": (_Q,),
+    "chain_jacobian": (_Q,),
+    "chain_jacobian_dot": (_Q, _RATES),
+    "chain_jacobian_inverse": (_Q,),
+    "ik_acceleration": (_Q, _RATES, _RATES),
+    "tree_newton_euler": ((0.0,) * 6,) * 3,
+    "chain_torques_H": (_Q, _RATES, _RATES),
+    "chain_inertia_A": (_Q,),
+    "chain_bias_h": (_Q, _RATES),
+    "chain_kinetic_energy": (_Q, _RATES),
+    "chain_reaction_force": (_Q, _RATES, _RATES, 1.0),
+    "cartesian_chain_model": (_Q, _RATES),
+    "chain_potential_energy": (_Q,),
+    "composite_tree_inertia": ((0.0,) * 6,),
+}
+
+
+@pytest.mark.parametrize("bad", (-1, 3, 1.5, "0", None), ids=repr)
+@pytest.mark.parametrize("name", _CHAIN_CALLS)
+def test_chain_index_other_than_0_1_or_2_is_validation_error(model, name, bad):
+    fn = getattr(orthoglide, name)
+    fn(model, 2, *_CHAIN_CALLS[name])
+    # -1 would index chain 3 and 3 past the end; 1.5 is no index
+    with pytest.raises(ValidationError, match=r"^chain index must be 0, 1 or 2, got %s$" % re.escape(repr(bad))):
+        fn(model, bad, *_CHAIN_CALLS[name])
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+@pytest.mark.parametrize("fn", (chain_frames, chain_forward_point, parallelogram_gap))
+def test_non_finite_joint_value_in_the_frames_is_numerical_error(model, fn, bad):
+    for k in range(3):
+        q = list(_Q)
+        q[k] = bad
+        with pytest.raises(NumericalError, match=r"^non-finite q \[") as info:
+            fn(model, 0, q)
+        assert repr(q) in str(info.value)
+
+
+@pytest.mark.parametrize("p", ((0.0, 0.6), "abc", (0.0, 0.0, 0.6, 1.0), None), ids=repr)
+def test_igm_point_not_three_numbers_is_validation_error(model, p):
+    with pytest.raises(ValidationError, match="^p must be 3 numbers, got "):
+        igm(model, p)
+
+
+def test_ik_velocity_shapes_are_validated(model):
+    _, chain_q = igm(model, (0.0, 0.0, 0.6))
+    for args in ((np.zeros((2, 3)), (0.1, 0.0, 0.0)), (chain_q, (0.1, 0.0)), (chain_q, "abc")):
+        with pytest.raises(ValidationError, match="^chain_q must be 3 x 3 numbers and v_p 3, got "):
+            ik_velocity(model, *args)

@@ -241,6 +241,9 @@ def test_model_with_gravity(model):
     for bad in ((0.0, math.nan, 0.0), (math.inf, 0.0, 0.0)):
         with pytest.raises(ValidationError, match="gravity must be finite"):
             model_with_gravity(model, bad)
+    for bad in ((0.0, 1.0), "abc", None, (0.0, 0.0, -9.81, 0.0)):
+        with pytest.raises(ValidationError, match="^gravity must be 3 numbers, got "):
+            model_with_gravity(model, bad)
 
 
 def test_default_model_builds_fresh_instances():

@@ -173,7 +173,7 @@ def test_overflowing_velocity_terms_are_numerical_error(model):
     P, V, Gamma = (np.array([x, x]) for x in (p, v, gamma))
     P[0, 2], V[0] = 0.59, 0.0  # a good state first
     with pytest.raises(NumericalError) as batch:
-        robot_dynamics._direct_dynamics_many(model, P, V, Gamma)
+        robot_dynamics._batched(robot_dynamics._direct_batch, direct_dynamics, model, P, V, Gamma)
     assert str(batch.value) == str(scalar.value)
     with pytest.raises(NumericalError, match="bias efforts"):
         simulate(model, p, v, config=SimConfig(dt=1e-3, t_end=0.002))
@@ -186,7 +186,7 @@ def test_overflowing_efforts_and_accelerations_are_numerical_error(model):
     with pytest.raises(NumericalError, match="non-finite platform acceleration"):
         direct_dynamics(model, p, v, big)
     with pytest.raises(NumericalError, match="non-finite platform acceleration"):
-        robot_dynamics._direct_dynamics_many(model, [p], [v], [big])
+        robot_dynamics._batched(robot_dynamics._direct_batch, direct_dynamics, model, [p], [v], [big])
     with pytest.raises(NumericalError):
         inverse_dynamics(model, p, v, big)
     with pytest.raises(NumericalError):

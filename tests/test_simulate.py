@@ -58,6 +58,19 @@ def test_quintic_rejects_bad_inputs(model):
         quintic_path(P_HOME, (0.0, 0.0, 1.5), 1.0, model=model)
     # without a model the endpoints are not checked
     quintic_path(P_HOME, (0.0, 0.0, 1.5), 1.0)
+    # but they must be 3 finite numbers, with or without one
+    for m in (None, model):
+        with pytest.raises(NumericalError, match=r"^non-finite p_start \[0.0, nan, 0.6\]"):
+            quintic_path((0.0, math.nan, 0.6), P_HOME, 1.0, model=m)
+        with pytest.raises(NumericalError, match=r"^non-finite p_end \[inf, 0.0, 0.6\]"):
+            quintic_path(P_HOME, (math.inf, 0.0, 0.6), 1.0, model=m)
+        with pytest.raises(ValidationError, match="^p_end must be 3 numbers"):
+            quintic_path(P_HOME, (0.0, 0.6), 1.0, model=m)
+    path = quintic_path(P_HOME, (0.0, 0.0, 0.5), 1.0)
+    with pytest.raises(NumericalError, match="^non-finite t nan$"):
+        path(math.nan)
+    # past either end the path holds still, at infinity too
+    assert np.array_equal(path(-math.inf)[0], P_HOME) and np.array_equal(path(math.inf)[0], (0.0, 0.0, 0.5))
 
 
 def test_torque_table_zero_order_hold():
@@ -197,6 +210,15 @@ def test_bad_run_settings_rejected(model):
     for cfg in (SimConfig(t_end=math.inf), SimConfig(t_end=math.nan), SimConfig(dt=math.inf), SimConfig(record_every=1.5)):
         with pytest.raises(ValidationError):
             simulate(model, P_HOME, (0, 0, 0), config=cfg)
+
+
+@pytest.mark.parametrize("at", (0.0, 0.0015), ids=("first sample", "mid run"))
+def test_torque_not_three_numbers_is_validation_error(model, at):
+    def torque(t):
+        return (0.0, 0.0) if t >= at else (0.0, 0.0, 0.0)
+
+    with pytest.raises(ValidationError, match=r"^torque_fn\(.*\) must return 3 numbers, got \(0.0, 0.0\)$"):
+        simulate(model, P_HOME, (0, 0, 0), torque, SimConfig(dt=1e-3, t_end=0.003))
 
 
 @pytest.mark.parametrize("dt", (5e-324, 1e-300))

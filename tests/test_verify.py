@@ -26,9 +26,12 @@ from orthoglide import (
     run_verification,
     total_energy,
 )
-from orthoglide import verify
+from orthoglide import chain_forward_point, chain_reaction_force, composite_tree_inertia, direct_dynamics, verify
+from orthoglide import ik_acceleration, platform_force, tree_newton_euler
 from orthoglide.model import TREE_ROWS, closure_positions
 from orthoglide.verify import sample_platform_points
+
+from conftest import DENSE, MIXED
 
 SLOW = ("power_balance", "energy_drift_conservative", "tracking_error")
 FAST = tuple(n for n in CHECK_NAMES if n not in SLOW)
@@ -401,25 +404,101 @@ def _energies_per_sample(model, P, V):
     return np.array([(kinetic_energy(model, p, v), total_energy(model, p, v)) for p, v in zip(P, V)]).T
 
 
-@pytest.mark.parametrize("seed", (42, 7))
-def test_batched_checks_report_as_their_per_sample_versions(monkeypatch, seed):
-    """lagrangian_match, static_vs_potential_gradient, and the two energy
-    checks with per-sample energies; the simulations run for 1/20 of their
-    time to keep this short, the same runs on both sides."""
+# The per-sample errors the batched checks fold, one sample a call through the public functions.
+
+
+def _igm_round_trip(model, rng, p):
+    _, chain_q = igm(model, p)
+    return float(np.abs([chain_forward_point(model, i, chain_q[i]) - p for i in range(3)]).max())
+
+
+def _tree_inertia_crb(model, rng, i, q6):
+    m0 = model_with_gravity(model, (0.0, 0.0, 0.0))
+    M_crb = composite_tree_inertia(model, i, q6)
+    M_ne = np.array([tree_newton_euler(m0, i, q6, np.zeros(6), e) for e in np.eye(6)]).T
+    return verify._rel(M_ne - M_crb, M_crb)
+
+
+def _reaction_balance(model, rng, p, v, a):
+    gam = inverse_dynamics(model, p, v, a)
+    _, cq = igm(model, p)
+    _, cqd = ik_velocity(model, cq, v)
+    total = np.zeros(3)
+    for i in range(3):
+        qdd = ik_acceleration(model, i, cq[i], cqd[i], a)
+        total += chain_reaction_force(model, i, cq[i], cqd[i], qdd, gam[i])
+    return float(np.abs(total - platform_force(model, a)).max())
+
+
+def _reaction_unit_column(model, rng, p):
+    m0 = model_with_gravity(model, (0.0, 0.0, 0.0))
+    zero = np.zeros(3)
+    _, cq = igm(m0, p)
+    Jp_inv = robot_jacobian_inverse(m0, cq)
+    return float(np.abs([chain_reaction_force(m0, i, cq[i], zero, zero, 1.0) - Jp_inv[i] for i in range(3)]).max())
+
+
+def _round_trip(model, rng, p, v, a):
+    return verify._rel(direct_dynamics(model, p, v, inverse_dynamics(model, p, v, a)) - a, a)
+
+
+_PER_SAMPLE = {
+    "igm_forward_round_trip": verify._per_sample(verify._points, _igm_round_trip),
+    "tree_inertia_crb": verify._per_sample(verify._trees, _tree_inertia_crb),
+    "lagrangian_match": _lagrangian_per_sample,
+    "reaction_balance": verify._per_sample(verify._states, _reaction_balance),
+    "reaction_unit_column": verify._per_sample(verify._points, _reaction_unit_column),
+    "idm_ddm_round_trip": verify._per_sample(verify._states, _round_trip),
+    "static_vs_potential_gradient": _static_gradient_per_sample,
+}
+
+
+@pytest.mark.parametrize(
+    "seed, m",
+    # gravity along z: under a tilted field _lagrangian_per_call's numpy potential rounds differently
+    ((42, default_model()), (7, default_model()), (42, MIXED), (1, DENSE)),
+    ids=("42", "7", "mixed-42", "dense-1"),
+)
+def test_batched_checks_report_as_their_per_sample_versions(monkeypatch, seed, m):
+    """The batched checks against their per-sample versions, and the two
+    energy checks with per-sample energies; the simulations run for 1/20 of
+    their time to keep this short, the same runs on both sides."""
     simulate = verify.simulate
 
     def shortened(model, p0, v0, torque, config):
         return simulate(model, p0, v0, torque, dataclasses.replace(config, t_end=config.t_end / 20))
 
     monkeypatch.setattr(verify, "simulate", shortened)
-    names = ("lagrangian_match", "static_vs_potential_gradient", "energy_drift_conservative", "power_balance")
-    batched = run_verification(default_model(), seed=seed, n_samples=10, checks=names)
-    local = {"lagrangian_match": _lagrangian_per_sample, "static_vs_potential_gradient": _static_gradient_per_sample}
-    monkeypatch.setattr(verify, "_CHECKS", tuple((nm, c, t, local.get(nm, fn)) for nm, c, t, fn in verify._CHECKS))
+    names = (*_PER_SAMPLE, "energy_drift_conservative", "power_balance")
+    batched = run_verification(m, seed=seed, n_samples=10, checks=names)
+    monkeypatch.setattr(verify, "_CHECKS", tuple((nm, c, t, _PER_SAMPLE.get(nm, fn)) for nm, c, t, fn in verify._CHECKS))
     monkeypatch.setattr(verify, "_energies", _energies_per_sample)
-    per_sample = run_verification(default_model(), seed=seed, n_samples=10, checks=names)
-    assert [r.samples for r in batched] == [20, 10, 49, 51]
+    per_sample = run_verification(m, seed=seed, n_samples=10, checks=names)
+    assert [r.samples for r in batched] == [100, 5, 20, 10, 10, 100, 10, 49, 51]
     assert [(r, repr(r.max_rel_err)) for r in batched] == [(r, repr(r.max_rel_err)) for r in per_sample]
+
+
+_TILTED = (1.3, -2.1, -9.0)
+
+
+@pytest.mark.parametrize(
+    "m",
+    (DENSE, model_with_gravity(default_model(), _TILTED), model_with_gravity(DENSE, _TILTED), MIXED),
+    ids=("dense", "tilted", "dense-tilted", "mixed"),
+)
+def test_sampled_checks_pass_on_general_models(m):
+    """The default model's diagonal link inertias and shared leg geometry leave
+    most terms zero or alike; these models populate every inertia term, tilt
+    gravity off the z axis and give each leg its own bar lengths."""
+    reports = run_verification(m, seed=42, n_samples=10, checks=FAST)
+    assert len(reports) == 21
+    assert [r.check_name for r in reports if not (r.passed and r.samples > 0)] == []
+
+
+@pytest.mark.parametrize("tolerances", ([("jacobian_fd", 1e-6)], "jacobian_fd"), ids=repr)
+def test_tolerances_that_are_not_a_mapping_are_rejected(tolerances):
+    with pytest.raises(ValidationError, match="tolerances must map check names to numbers"):
+        run_verification(default_model(), checks=("isotropic_inverse",), tolerances=tolerances)
 
 
 @pytest.mark.parametrize("bad", (math.nan, math.inf))
